@@ -1,9 +1,12 @@
 """Layer vocabulary: conv, max-pool, fully-connected, batchnorm, dropout, relu, softmax.
 
-All arithmetic is float64. Activations travel as (N, C, H, W) until a
-fully-connected layer flattens them to (N, features). Each layer caches what
-its backward pass needs only when the stack is in train mode; eval-mode
-forwards leave no state behind.
+All arithmetic is float64. Activations keep the (N, C, H, W) shape until a
+fully-connected layer flattens them to (N, features), but their memory may be
+channels-last (N, H, W, C). Conv2d returns an (N, C, H, W) view of its
+(N*H*W, C) GEMM rows and builds its input gradient channels-last too; ReLU and
+MaxPool2d keep the memory order they are given rather than copying to
+channels-first. Each layer caches what its backward pass needs only when the
+stack is in train mode; eval-mode forwards leave no state behind.
 """
 
 from __future__ import annotations
@@ -113,25 +116,27 @@ class Conv2d(Layer):
 
         # Scatter column gradients back to (padded) input pixels. With stride 1
         # each kernel offset (u, v) contributes one shifted dense slab, so the
-        # scatter is k*k vectorized adds instead of an index-based col2im.
-        dcols = (dy_mat @ w_mat).reshape(n, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-        dxp = np.zeros((n, c, h + 2 * p, w_in + 2 * p))
+        # scatter is k*k vectorized adds instead of an index-based col2im. The
+        # buffer is channels-last like the column rows, and the returned
+        # (N, C, H, W) view keeps that memory order.
+        dcols = (dy_mat @ w_mat).reshape(n, oh, ow, c, k, k)
+        dxp = np.zeros((n, h + 2 * p, w_in + 2 * p, c))
         for u in range(k):
             for v in range(k):
-                dxp[:, :, u : u + oh, v : v + ow] += dcols[:, :, u, v]
+                dxp[:, u : u + oh, v : v + ow] += dcols[..., u, v]
         self.cache = None
-        if p:
-            return dxp[:, :, p : p + h, p : p + w_in]
-        return dxp
+        return dxp[:, p : p + h, p : p + w_in].transpose(0, 3, 1, 2)
 
 
 class MaxPool2d(Layer):
     """Max pooling with a square window and stride equal to the window.
 
-    Trailing rows/columns that do not fill a window are ignored. The argmax
-    position inside each window is recorded so backward routes every output
-    gradient to exactly one input pixel (ties break to the first position in
-    row-major window order).
+    Trailing rows/columns that do not fill a window are ignored. The window is
+    read as window**2 strided slabs x[:, :, u::window, v::window], one per
+    offset (u, v) in row-major order. Train mode records, per output, the
+    index of the first slab that holds the max, so backward routes every
+    output gradient to exactly one input pixel (ties break to the first
+    position in row-major window order).
     """
 
     kind = "mp"
@@ -140,7 +145,8 @@ class MaxPool2d(Layer):
         super().__init__()
         self.window = window
 
-    def _windows(self, x):
+    def _slabs(self, x):
+        """The window**2 (N, C, H // window, W // window) views of x, row-major."""
         n, c, h, w = x.shape
         win = self.window
         oh, ow = h // win, w // win
@@ -148,27 +154,42 @@ class MaxPool2d(Layer):
             raise ShapeError(
                 f"mp: {win}x{win} window does not fit input of {h}x{w}"
             )
-        xc = x[:, :, : oh * win, : ow * win]
-        flat = xc.reshape(n, c, oh, win, ow, win).transpose(0, 1, 2, 4, 3, 5)
-        return flat.reshape(n, c, oh, ow, win * win), oh, ow
+        return [
+            x[:, :, u : oh * win : win, v : ow * win : win]
+            for u in range(win)
+            for v in range(win)
+        ]
 
     def forward(self, x, train, rng):
-        flat, oh, ow = self._windows(x)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        slabs = self._slabs(x)
+        out = slabs[0].copy(order="K")
+        for slab in slabs[1:]:
+            # maximum returns its second operand when both compare equal
+            # (+0.0 against -0.0), so the earlier slab's value is kept.
+            np.maximum(slab, out, out=out)
         if train:
-            self.cache = (idx, x.shape, oh, ow)
+            self.cache = (self._first_max(slabs, out), x.shape)
         return out
 
+    @staticmethod
+    def _first_max(slabs, out):
+        """Per output, the index of the first slab equal to its max."""
+        # idx counts the slabs before the first match; the last slab needs no
+        # test because a window that matched nowhere earlier matches there.
+        missed = np.not_equal(slabs[0], out)
+        idx = missed.astype(np.min_scalar_type(len(slabs) - 1))
+        ne = np.empty_like(missed)
+        for slab in slabs[1:-1]:
+            missed &= np.not_equal(slab, out, out=ne)
+            idx += missed
+        return idx
+
     def backward(self, dy):
-        idx, x_shape, oh, ow = self._need_cache()
-        n, c, h, w = x_shape
-        win = self.window
-        buf = np.zeros((n, c, oh, ow, win * win))
-        np.put_along_axis(buf, idx[..., None], dy[..., None], axis=-1)
-        buf = buf.reshape(n, c, oh, ow, win, win).transpose(0, 1, 2, 4, 3, 5)
-        dx = np.zeros((n, c, h, w))
-        dx[:, :, : oh * win, : ow * win] = buf.reshape(n, c, oh * win, ow * win)
+        idx, x_shape = self._need_cache()
+        # idx has the input's memory order, so dx gets it too
+        dx = np.zeros_like(idx, dtype=np.float64, shape=x_shape)
+        for k, slab in enumerate(self._slabs(dx)):
+            np.copyto(slab, dy, where=idx == k)
         self.cache = None
         return dx
 
@@ -302,8 +323,7 @@ class Dropout(Layer):
         if not train:
             return x
         mask = rng.random(x.shape) >= self.p
-        if train:
-            self.cache = mask
+        self.cache = mask
         return x * mask / (1.0 - self.p)
 
     def backward(self, dy):

@@ -62,8 +62,10 @@ def cross_entropy(pred, target):
     if pred.ndim != 2 or pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} and target {target.shape} must be equal 2-d shapes")
     sums = target.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
+    # written so that a NaN sum fails the test too
+    ok = np.abs(sums - 1.0) <= 1e-6
+    if not ok.all():
+        bad = int(np.argmin(ok))
         raise ValidationError(f"target row {bad} sums to {sums[bad]!r}, expected 1")
     active = target > 0
     logp = np.log(np.where(active, pred, 1.0))
@@ -110,7 +112,9 @@ def train(stack, images, targets, test_set, cfg, progress=None):
     targets may be one-hot rows or soft rows; the loop never looks at hard
     labels. Each epoch shuffles with the config RNG (which also feeds
     dropout), runs minibatches (final partial batch included), applies
-    lr_decay, and evaluates on test_set. Returns (stack, [EpochLog...]);
+    lr_decay, and evaluates on test_set. A batch whose loss is not finite
+    stops training with a ValidationError naming the epoch and the batch.
+    Returns (stack, [EpochLog...]);
     the stack is left in eval mode. Same config + same data => identical
     parameters and logs (wall time aside).
     """
@@ -136,10 +140,16 @@ def train(stack, images, targets, test_set, cfg, progress=None):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         epoch_cfg = replace(cfg, learning_rate=lr)
         loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size), 1):
             sel = order[start : start + cfg.batch_size]
             probs = stack.forward(images[sel])
-            loss_sum += cross_entropy(probs, targets[sel]) * sel.size
+            loss = cross_entropy(probs, targets[sel])
+            if not np.isfinite(loss):
+                raise ValidationError(
+                    f"{stack.arch}: training loss is {loss!r} at epoch {epoch}, "
+                    f"batch {batch}; training diverged"
+                )
+            loss_sum += loss * sel.size
             grads = stack.backward(targets[sel])
             sgd_step(params, grads, velocity, epoch_cfg)
         test_accuracy, test_loss = _test_metrics(stack, test_set)

@@ -317,6 +317,17 @@ def test_cli_exit_codes(tmp_path):
     ) == 3
 
 
+def test_cli_diverged_training_exits_3_without_checkpoint(tmp_path, capsys):
+    path, out = write_cfg(tmp_path)
+    assert run_cli("split", "--config", path) == 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        code = run_cli("train-mentor", "--config", path,
+                       "--override", "mentor_train.learning_rate=1e6")
+    assert code == 3
+    assert "training loss is inf at epoch 1" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "mentor.ckpt"))
+
+
 def test_cli_seed_flag_changes_results(tmp_path):
     path, out = write_cfg(tmp_path)
     out2 = str(tmp_path / "seeded")

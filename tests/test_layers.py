@@ -143,6 +143,144 @@ def test_maxpool_gradients_match_finite_differences():
         assert check_layer(pool, x, seed=200 + seed) < 1e-4
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the gather-based max-pool and the channels-first conv scatter that
+# the strided kernels replaced. The kernels must agree with them bit for bit,
+# signed zeros included, whatever the memory order of their inputs.
+
+
+def _ref_maxpool_forward(x, win):
+    n, c, h, w = x.shape
+    oh, ow = h // win, w // win
+    xc = x[:, :, : oh * win, : ow * win]
+    flat = xc.reshape(n, c, oh, win, ow, win).transpose(0, 1, 2, 4, 3, 5)
+    flat = flat.reshape(n, c, oh, ow, win * win)
+    idx = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], idx
+
+
+def _ref_maxpool_backward(idx, dy, x_shape, win):
+    n, c, h, w = x_shape
+    oh, ow = idx.shape[2:]
+    buf = np.zeros((n, c, oh, ow, win * win))
+    np.put_along_axis(buf, idx[..., None], dy[..., None], axis=-1)
+    buf = buf.reshape(n, c, oh, ow, win, win).transpose(0, 1, 2, 4, 3, 5)
+    dx = np.zeros((n, c, h, w))
+    dx[:, :, : oh * win, : ow * win] = buf.reshape(n, c, oh * win, ow * win)
+    return dx
+
+
+def _ref_conv_backward(conv, cols, x_shape, oh, ow, dy):
+    n, c, h, w_in = x_shape
+    k, p = conv.kernel, conv.pad
+    w_mat = conv.params["weight"].reshape(conv.out_channels, -1)
+    dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, conv.out_channels)
+    dw = (dy_mat.T @ cols).reshape(conv.params["weight"].shape)
+    db = dy_mat.sum(axis=0)
+    dcols = (dy_mat @ w_mat).reshape(n, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+    dxp = np.zeros((n, c, h + 2 * p, w_in + 2 * p))
+    for u in range(k):
+        for v in range(k):
+            dxp[:, :, u : u + oh, v : v + ow] += dcols[:, :, u, v]
+    return dxp[:, :, p : p + h, p : p + w_in], dw, db
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # logical order, so layout-blind
+
+
+def _channels_last(a):
+    """The (N, C, H, W) view of a channels-last copy, as Conv2d.forward emits."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _signed_zeros(rng, shape):
+    """Values with many exact ties: -0.0 and 0.0 mixed with a few positives."""
+    x = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    hot = rng.random(shape) < 0.2
+    x[hot] = rng.integers(1, 3, size=int(hot.sum()))
+    return x
+
+
+def _late_max(rng, shape):
+    """A 17x17 window whose max ties at flat positions 287 and 288, past uint8."""
+    x = rng.integers(0, 50, size=shape) * 1.0
+    x[:, :, 16, 15:17] = 99.0
+    x[:, :, :, 17] = 1000.0  # trailing column, outside every window
+    return x
+
+
+_POOL_CASES = {
+    # name: (shape, window, input maker)
+    "channels_last": ((4, 6, 8, 8), 2, lambda r, s: _channels_last(r.normal(size=s))),
+    "quantized_ties": ((3, 4, 6, 6), 2, lambda r, s: r.integers(0, 3, size=s).astype(float)),
+    "signed_zeros": ((3, 5, 8, 6), 2, lambda r, s: _channels_last(_signed_zeros(r, s))),
+    "window3_trailing": ((2, 3, 8, 7), 3, lambda r, s: _channels_last(r.integers(0, 4, size=s) * 1.0)),
+    "batch1": ((1, 3, 5, 5), 2, lambda r, s: r.normal(size=s)),
+    "window17_wide_index": ((2, 2, 17, 18), 17, lambda r, s: _late_max(r, s)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POOL_CASES))
+def test_maxpool_matches_oracle_bytes(case):
+    shape, win, make = _POOL_CASES[case]
+    rng = np.random.default_rng(sorted(_POOL_CASES).index(case))
+    x = make(rng, shape)
+    want_y, want_idx = _ref_maxpool_forward(x, win)
+    dy = np.where(rng.random(want_y.shape) < 0.3, -0.0, rng.normal(size=want_y.shape))
+    want_dx = _ref_maxpool_backward(want_idx, dy, x.shape, win)
+
+    pool = MaxPool2d(win)
+    _assert_same_bytes(pool.forward(x, False, rng), want_y)
+    _assert_same_bytes(pool.forward(x, True, rng), want_y)
+    for dy_in in (dy, _channels_last(dy)):
+        pool.forward(x, True, rng)
+        _assert_same_bytes(pool.backward(dy_in), want_dx)
+
+
+def test_maxpool_keeps_first_signed_zero():
+    # the windows tie at zero; the first position's sign wins, as with argmax
+    x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]], [[[0.0, -0.0], [-0.0, 0.0]]]])
+    y = MaxPool2d(2).forward(x, False, np.random.default_rng(0))
+    assert np.signbit(y).ravel().tolist() == [True, False]
+
+
+_CONV_CASES = {
+    # name: (x shape, out channels, kernel, x and dy are channels-last)
+    "channels_last_k3": ((4, 3, 7, 6), 5, 3, True),
+    "image_input_k3": ((3, 2, 6, 6), 4, 3, False),
+    "even_kernel": ((2, 3, 5, 5), 4, 2, True),
+    "k1_no_pad": ((2, 4, 4, 3), 3, 1, True),
+    "k5": ((2, 2, 7, 7), 3, 5, False),
+    "batch1": ((1, 3, 6, 5), 4, 3, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONV_CASES))
+def test_conv_backward_matches_oracle_bytes(case):
+    shape, cout, k, channels_last = _CONV_CASES[case]
+    rng = np.random.default_rng(10 + sorted(_CONV_CASES).index(case))
+    conv = Conv2d(shape[1], cout, k, rng)
+    conv.params["bias"] = rng.normal(size=cout)
+    x = _signed_zeros(rng, shape) + rng.integers(0, 2, size=shape) * rng.normal(size=shape)
+    if channels_last:
+        x = _channels_last(x)
+    y = conv.forward(x, True, rng)
+    cols, x_shape, oh, ow = conv.cache
+    # upstream ReLU backward: dy * mask turns masked negatives into -0.0
+    dy = rng.normal(size=y.shape) * (rng.random(y.shape) < 0.6)
+    if channels_last:
+        dy = _channels_last(dy)
+    assert np.signbit(dy[dy == 0]).any()
+    want_dx, want_dw, want_db = _ref_conv_backward(conv, cols, x_shape, oh, ow, dy)
+
+    got_dx = conv.backward(dy)
+    _assert_same_bytes(got_dx, want_dx)
+    _assert_same_bytes(conv.grads["weight"], want_dw)
+    _assert_same_bytes(conv.grads["bias"], want_db)
+
+
 def test_fc_forward_matches_matmul_and_flattens():
     rng = np.random.default_rng(0)
     fc = FullyConnected(12, 5, rng)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ def test_cross_entropy_validation():
         cross_entropy(np.zeros(3), np.zeros(3))
     with pytest.raises(ValidationError) as err:
         cross_entropy(np.full((2, 2), 0.5), np.array([[0.5, 0.5], [0.9, 0.5]]))
+    assert "row 1" in str(err.value)
+
+
+def test_cross_entropy_rejects_nan_target_row():
+    # abs(nan - 1) > 1e-6 is False, so the check must be phrased as a pass test
+    target = np.array([[0.5, 0.5], [np.nan, 0.5], [0.25, 0.75]])
+    with pytest.raises(ValidationError) as err:
+        cross_entropy(np.full((3, 2), 0.5), target)
     assert "row 1" in str(err.value)
 
 
@@ -296,6 +305,17 @@ def test_train_validation_errors():
     with pytest.raises(ValidationError):
         train(stack, train_set.images, targets, test_set,
               TrainConfig(batch_size=train_set.n + 1))
+
+
+def test_train_non_finite_loss_names_epoch_and_batch():
+    train_set, test_set = small_task(seed=4)
+    stack = parse_arch("fc(16)-fc-s", (1, 6, 6), 4, seed=0)
+    cfg = TrainConfig(learning_rate=1e6, epochs=2, batch_size=16, seed=0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError) as err:
+            train(stack, train_set.images, one_hot_rows(train_set.labels, 4), test_set, cfg)
+    msg = str(err.value)
+    assert "fc(16)-fc-s" in msg and re.search(r"at epoch 1, batch \d+;", msg)
 
 
 def test_train_lr_decay_schedule_observable():
