@@ -40,7 +40,7 @@ from .pipeline import (
     train_mentor,
     train_student,
 )
-from .report import ModelResult, emit_report, sweep_split_ratios
+from .report import ModelResult
 from .splitting import (
     PerturbConfig,
     SplitConfig,
@@ -79,7 +79,6 @@ __all__ = [
     "bench_inference",
     "confusion_matrix",
     "cross_entropy",
-    "emit_report",
     "evaluate",
     "format_percent",
     "gen_synthetic",
@@ -102,7 +101,6 @@ __all__ = [
     "save_split_manifest",
     "sgd_step",
     "split_indices",
-    "sweep_split_ratios",
     "train",
     "train_baseline",
     "train_mentor",

@@ -4,7 +4,7 @@ Every verb reads a ``--config`` file (plus optional ``--override key=value``
 edits and a ``--seed`` shorthand that rewrites every ``*.seed`` key) and
 talks to the other verbs only through files under ``output_dir``:
 
-  split          -> split_manifest.csv
+  split          -> split_manifest.csv (always recomputed)
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
   label          manifest + mentor.ckpt -> soft_labels.slbl
   train-student  manifest + soft_labels.slbl -> student_<x>.ckpt + epoch CSVs
@@ -12,7 +12,8 @@ talks to the other verbs only through files under ``output_dir``:
   eval           checkpoints -> summary.csv
   confusion      checkpoints -> confusion_<model>.csv
   bench          checkpoints -> bench.csv
-  sweep          (self-contained) -> sweep.csv
+  sweep          per (ratio, seed): split .. train-student in
+                 sweep/<ratio>_<seed>/ -> sweep.csv
   run-all        split, train-mentor, label, train-student, eval, confusion
 
 Exit codes: 0 success; 1 configuration problem (message names the offending
@@ -28,6 +29,9 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+
+import numpy as np
 
 from . import pipeline, report
 from .config import build_experiment_config, load_config
@@ -35,19 +39,7 @@ from .errors import ConfigError, DistillError, MissingArtifactError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
 from .pipeline import model_letter
 from .report import ModelResult
-
-VERBS = (
-    "split",
-    "train-mentor",
-    "label",
-    "train-student",
-    "baseline",
-    "eval",
-    "confusion",
-    "bench",
-    "sweep",
-    "run-all",
-)
+from .splitting import SplitConfig
 
 
 def _log(msg):
@@ -72,6 +64,7 @@ def _epoch_progress(model_id, total):
 
 def stage_split(cfg):
     train_set, _, _ = pipeline.prepare_data(cfg)
+    pipeline.write_split(cfg, train_set)
     mentor_set, student_set = pipeline.resolve_split(cfg, train_set)
     _log(
         f"split: {mentor_set.n} mentor / {student_set.n} pool images"
@@ -80,28 +73,30 @@ def stage_split(cfg):
 
 
 def stage_train_mentor(cfg):
+    """Train and save the mentor; returns its epoch logs."""
     train_set, test_set, _ = pipeline.prepare_data(cfg)
-    mentor_set, _ = pipeline.resolve_split(cfg, train_set, require_manifest=True)
+    mentor_set, _ = pipeline.resolve_split(cfg, train_set)
     stack, logs = pipeline.train_mentor(
         cfg, mentor_set, test_set,
         progress=_epoch_progress("mentor", cfg.mentor_train.epochs),
     )
-    pipeline.save_checkpoint(stack, pipeline.mentor_ckpt_path(cfg.output_dir))
+    pipeline.save_checkpoint(stack, pipeline.ckpt_path(cfg.output_dir, "mentor"))
     report.write_epochs(
         logs, report.epochs_csv_path(cfg.output_dir, "mentor"), cfg.zero_wall_time
     )
     _log(f"train-mentor: final test accuracy {logs[-1].test_accuracy:.4f}")
+    return logs
 
 
 def _student_pool(cfg):
     train_set, test_set, foreign = pipeline.prepare_data(cfg)
-    _, student_set = pipeline.resolve_split(cfg, train_set, require_manifest=True)
+    _, student_set = pipeline.resolve_split(cfg, train_set)
     return pipeline.build_student_pool(cfg, student_set, foreign), test_set
 
 
 def stage_label(cfg):
     pool, _ = _student_pool(cfg)
-    mentor = pipeline.load_checkpoint(pipeline.mentor_ckpt_path(cfg.output_dir))
+    mentor = pipeline.load_checkpoint(pipeline.ckpt_path(cfg.output_dir, "mentor"))
     soft = pipeline.generate_soft_labels(mentor, pool.images)
     pipeline.save_soft_labels(soft, pipeline.soft_labels_path(cfg.output_dir))
     _log(
@@ -110,83 +105,63 @@ def stage_label(cfg):
     )
 
 
-def _train_one_student(cfg, i):
+def _train_one(cfg, kind, i):
+    """Train architecture i of student.archs as a "student" (on the mentor's
+    soft labels) or a "baseline" (on the pool's hard labels) and save it;
+    returns its epoch logs."""
     pool, test_set = _student_pool(cfg)
-    soft = pipeline.load_soft_labels(pipeline.soft_labels_path(cfg.output_dir))
-    model_id = f"student_{model_letter(i)}"
-    stack, logs = pipeline.train_student(
-        cfg.student_train, pool.images, soft, cfg.student_archs[i], test_set,
-        progress=_epoch_progress(model_id, cfg.student_train.epochs),
-    )
-    pipeline.save_checkpoint(stack, pipeline.student_ckpt_path(cfg.output_dir, i))
+    model_id = f"{kind}_{model_letter(i)}"
+    progress = _epoch_progress(model_id, cfg.student_train.epochs)
+    if kind == "student":
+        soft = pipeline.load_soft_labels(pipeline.soft_labels_path(cfg.output_dir))
+        stack, logs = pipeline.train_student(
+            cfg.student_train, pool.images, soft, cfg.student_archs[i], test_set, progress
+        )
+    else:
+        stack, logs = pipeline.train_baseline(
+            cfg.student_train, pool, cfg.student_archs[i], test_set, progress
+        )
+    pipeline.save_checkpoint(stack, pipeline.ckpt_path(cfg.output_dir, model_id))
     report.write_epochs(
         logs, report.epochs_csv_path(cfg.output_dir, model_id), cfg.zero_wall_time
     )
     _log(f"{model_id}: final test accuracy {logs[-1].test_accuracy:.4f}")
+    return logs
 
 
-def _train_one_baseline(cfg, i):
-    pool, test_set = _student_pool(cfg)
-    model_id = f"baseline_{model_letter(i)}"
-    stack, logs = pipeline.train_baseline(
-        cfg.student_train, pool, cfg.student_archs[i], test_set,
-        progress=_epoch_progress(model_id, cfg.student_train.epochs),
-    )
-    pipeline.save_checkpoint(stack, pipeline.baseline_ckpt_path(cfg.output_dir, i))
-    report.write_epochs(
-        logs, report.epochs_csv_path(cfg.output_dir, model_id), cfg.zero_wall_time
-    )
-    _log(f"{model_id}: final test accuracy {logs[-1].test_accuracy:.4f}")
+def _worker(raw, kind, i):
+    _train_one(build_experiment_config(raw), kind, i)
 
 
-def _student_worker(raw, i):
-    _train_one_student(build_experiment_config(raw), i)
-
-
-def _baseline_worker(raw, i):
-    _train_one_baseline(build_experiment_config(raw), i)
-
-
-def _run_indexed(worker, train_one, cfg, jobs):
+def _run_indexed(kind, cfg, jobs):
     count = len(cfg.student_archs)
     if jobs <= 1 or count < 2:
         for i in range(count):
-            train_one(cfg, i)
+            _train_one(cfg, kind, i)
         return
     with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
-        futures = [pool.submit(worker, cfg.raw, i) for i in range(count)]
+        futures = [pool.submit(_worker, cfg.raw, kind, i) for i in range(count)]
         for fut in futures:
             fut.result()
 
 
 def stage_train_student(cfg, jobs=1):
-    _run_indexed(_student_worker, _train_one_student, cfg, jobs)
+    _run_indexed("student", cfg, jobs)
 
 
 def stage_baseline(cfg, jobs=1):
-    _run_indexed(_baseline_worker, _train_one_baseline, cfg, jobs)
+    _run_indexed("baseline", cfg, jobs)
 
 
-def _load_models(cfg, include_optional=True):
+def _load_models(cfg):
     """[(model_id, stack)] - mentor and students must exist, baselines may."""
-    models = [
-        ("mentor", pipeline.load_checkpoint(pipeline.mentor_ckpt_path(cfg.output_dir)))
+    letters = [model_letter(i) for i in range(len(cfg.student_archs))]
+    baselines = [f"baseline_{x}" for x in letters]
+    model_ids = ["mentor"] + [f"student_{x}" for x in letters] + [
+        m for m in baselines if os.path.exists(pipeline.ckpt_path(cfg.output_dir, m))
     ]
-    for i in range(len(cfg.student_archs)):
-        models.append(
-            (
-                f"student_{model_letter(i)}",
-                pipeline.load_checkpoint(pipeline.student_ckpt_path(cfg.output_dir, i)),
-            )
-        )
-    if include_optional:
-        for i in range(len(cfg.student_archs)):
-            path = pipeline.baseline_ckpt_path(cfg.output_dir, i)
-            if os.path.exists(path):
-                models.append(
-                    (f"baseline_{model_letter(i)}", pipeline.load_checkpoint(path))
-                )
-    return models
+    return [(m, pipeline.load_checkpoint(pipeline.ckpt_path(cfg.output_dir, m)))
+            for m in model_ids]
 
 
 def stage_eval(cfg):
@@ -234,15 +209,36 @@ def stage_bench(cfg, reps=100, warmup=3):
 
 
 def stage_sweep(cfg):
-    def progress(ratio, seed, mentor_acc, student_acc):
-        _log(
-            f"sweep: ratio={ratio:g} seed={seed}"
-            f" mentor={mentor_acc:.4f} student={student_acc:.4f}"
-        )
-
-    rows = report.sweep_split_ratios(cfg, progress=progress)
-    for ratio, m, s in rows:
-        _log(f"sweep: ratio={ratio:g} mentor={m:.4f} student={s:.4f} (mean)")
+    """Per (ratio, seed), the run-all stages up to train-student in
+    output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
+    sweep.csv gets the per-ratio means over seeds. Training stays in this
+    process: ``replace`` leaves run_cfg.raw, which --jobs workers rebuild
+    from, describing the base config."""
+    seeds = cfg.sweep_seeds or (cfg.split.seed,)
+    rows = []
+    for ratio in cfg.sweep_ratios:
+        mentor_accs, student_accs = [], []
+        for seed in seeds:
+            run_cfg = replace(
+                cfg,
+                output_dir=os.path.join(cfg.output_dir, "sweep", f"{ratio:g}_{seed}"),
+                student_archs=[cfg.mentor_arch],
+                split=SplitConfig(mentor_fraction=ratio, seed=seed),
+                mentor_train=replace(cfg.mentor_train, seed=seed),
+                student_train=replace(cfg.student_train, seed=seed),
+            )
+            stage_split(run_cfg)
+            mentor_accs.append(stage_train_mentor(run_cfg)[-1].test_accuracy)
+            stage_label(run_cfg)
+            student_accs.append(_train_one(run_cfg, "student", 0)[-1].test_accuracy)
+            _log(
+                f"sweep: ratio={ratio:g} seed={seed}"
+                f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}"
+            )
+        rows.append((ratio, float(np.mean(mentor_accs)), float(np.mean(student_accs))))
+        _log(f"sweep: ratio={ratio:g} mentor={rows[-1][1]:.4f}"
+             f" student={rows[-1][2]:.4f} (mean)")
+    report.write_sweep(rows, report.sweep_csv_path(cfg.output_dir))
     _log(f"sweep -> {report.sweep_csv_path(cfg.output_dir)}")
 
 
@@ -258,6 +254,22 @@ def stage_run_all(cfg, jobs=1):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+# verb -> stage. Each entry looks its stage up when called, so a stage
+# function replaced on this module (e.g. by a tracing wrapper) is the one
+# that runs.
+STAGES = {
+    "split": lambda cfg, args: stage_split(cfg),
+    "train-mentor": lambda cfg, args: stage_train_mentor(cfg),
+    "label": lambda cfg, args: stage_label(cfg),
+    "train-student": lambda cfg, args: stage_train_student(cfg, jobs=args.jobs),
+    "baseline": lambda cfg, args: stage_baseline(cfg, jobs=args.jobs),
+    "eval": lambda cfg, args: stage_eval(cfg),
+    "confusion": lambda cfg, args: stage_confusion(cfg),
+    "bench": lambda cfg, args: stage_bench(cfg, reps=args.reps, warmup=args.warmup),
+    "sweep": lambda cfg, args: stage_sweep(cfg),
+    "run-all": lambda cfg, args: stage_run_all(cfg, jobs=args.jobs),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -265,7 +277,7 @@ def build_parser():
         description="Mentor-student soft-label distillation pipeline.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-    for verb in VERBS:
+    for verb in STAGES:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument(
@@ -282,30 +294,6 @@ def build_parser():
     return parser
 
 
-def _dispatch(args, cfg):
-    verb = args.verb
-    if verb == "split":
-        stage_split(cfg)
-    elif verb == "train-mentor":
-        stage_train_mentor(cfg)
-    elif verb == "label":
-        stage_label(cfg)
-    elif verb == "train-student":
-        stage_train_student(cfg, jobs=args.jobs)
-    elif verb == "baseline":
-        stage_baseline(cfg, jobs=args.jobs)
-    elif verb == "eval":
-        stage_eval(cfg)
-    elif verb == "confusion":
-        stage_confusion(cfg)
-    elif verb == "bench":
-        stage_bench(cfg, reps=args.reps, warmup=args.warmup)
-    elif verb == "sweep":
-        stage_sweep(cfg)
-    else:
-        stage_run_all(cfg, jobs=args.jobs)
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -316,7 +304,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = load_config(args.config, args.override, args.seed)
-        _dispatch(args, cfg)
+        STAGES[args.verb](cfg, args)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 1

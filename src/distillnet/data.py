@@ -206,15 +206,6 @@ def gen_synthetic_split(num_classes, per_class, test_per_class, shape, seed, dif
     return train, test
 
 
-def one_hot(label, num_classes):
-    """One-hot row for a single label."""
-    if not 0 <= label < num_classes:
-        raise ValidationError(f"label {label} out of range for {num_classes} classes")
-    row = np.zeros(num_classes)
-    row[label] = 1.0
-    return row
-
-
 def one_hot_rows(labels, num_classes):
     """One-hot matrix for a label vector; rejects sentinel labels."""
     labels = np.asarray(labels, dtype=np.int64)

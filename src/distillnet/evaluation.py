@@ -12,6 +12,14 @@ from .errors import ShapeError, ValidationError
 from .training import _test_metrics
 
 
+def _check_classes(stack, test_set):
+    if test_set.num_classes != stack.num_classes:
+        raise ShapeError(
+            f"stack has {stack.num_classes} classes, test set has "
+            f"{test_set.num_classes}"
+        )
+
+
 def evaluate(stack, test_set, batch_size=256):
     """(accuracy, mean loss) on a labeled set.
 
@@ -19,11 +27,7 @@ def evaluate(stack, test_set, batch_size=256):
     index, numpy argmax semantics); loss is mean cross-entropy against the
     one-hot truth. Batch size does not affect either number.
     """
-    if test_set.num_classes != stack.num_classes:
-        raise ShapeError(
-            f"stack has {stack.num_classes} classes, test set has "
-            f"{test_set.num_classes}"
-        )
+    _check_classes(stack, test_set)
     return _test_metrics(stack, test_set, batch_size)
 
 
@@ -55,21 +59,9 @@ def confusion_matrix(stack, test_set, batch_size=256):
     labels = test_set.labels
     if np.any(labels < 0):
         raise ValidationError("confusion matrix needs real labels on every row")
-    if test_set.num_classes != stack.num_classes:
-        raise ShapeError(
-            f"stack has {stack.num_classes} classes, test set has "
-            f"{test_set.num_classes}"
-        )
-    prev = stack.mode
-    stack.set_mode("eval")
+    _check_classes(stack, test_set)
     k = stack.num_classes
-    preds = np.concatenate(
-        [
-            stack.forward(test_set.images[s : s + batch_size]).argmax(axis=1)
-            for s in range(0, test_set.n, batch_size)
-        ]
-    )
-    stack.set_mode(prev)
+    preds = stack.predict(test_set.images, batch_size).argmax(axis=1)
     counts = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
     return ConfusionMatrix(counts.astype(np.int64))
 
@@ -115,21 +107,13 @@ def bench_inference(stack, test_set, reps=100, warmup=3, batch_size=256, model_i
         raise ValidationError(f"reps must be >= 1, got {reps}")
     if warmup < 0:
         raise ValidationError(f"warmup must be >= 0, got {warmup}")
-    prev = stack.mode
-    stack.set_mode("eval")
-
-    def one_pass():
-        for start in range(0, test_set.n, batch_size):
-            stack.forward(test_set.images[start : start + batch_size])
-
     for _ in range(warmup):
-        one_pass()
+        stack.predict(test_set.images, batch_size)
     per_rep = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        one_pass()
+        stack.predict(test_set.images, batch_size)
         per_rep.append(time.perf_counter() - t0)
-    stack.set_mode(prev)
     return BenchResult(
         model_id=model_id if model_id is not None else stack.arch,
         reps=reps,

@@ -285,9 +285,6 @@ class LayerStack:
         self._probs = None
         self._ready = False
 
-    def token_kinds(self):
-        return [t.kind for t in self.tokens]
-
     def set_mode(self, mode):
         if mode not in ("train", "eval"):
             raise ValidationError(f"unknown stack mode {mode!r}")
@@ -312,6 +309,21 @@ class LayerStack:
             self._probs = x
             self._ready = True
         return x
+
+    def predict(self, images, batch_size=256):
+        """Eval-mode (N, num_classes) probabilities, ``batch_size`` rows at a time.
+
+        The stack's previous mode is restored afterwards, also on error.
+        """
+        prev = self.mode
+        self.set_mode("eval")
+        try:
+            return np.concatenate(
+                [self.forward(images[s : s + batch_size])
+                 for s in range(0, len(images), batch_size)]
+            )
+        finally:
+            self.set_mode(prev)
 
     def backward(self, targets):
         """Gradient of mean cross-entropy w.r.t. every parameter.
@@ -351,9 +363,6 @@ class LayerStack:
 
     def num_parameters(self):
         return sum(p.size for p in self.parameters())
-
-    def render(self):
-        return self.arch
 
 
 def parse_arch(spec, input_shape, num_classes, seed=0):

@@ -54,7 +54,7 @@ from .splitting import (
     save_split_manifest,
     split_indices,
 )
-from .training import train
+from .training import invalid_distribution_row, train
 
 CHECKPOINT_MAGIC = b"DMCK"
 SOFT_LABEL_MAGIC = b"SLBL"
@@ -71,16 +71,9 @@ def manifest_path(out_dir):
     return os.path.join(out_dir, "split_manifest.csv")
 
 
-def mentor_ckpt_path(out_dir):
-    return os.path.join(out_dir, "mentor.ckpt")
-
-
-def student_ckpt_path(out_dir, i):
-    return os.path.join(out_dir, f"student_{model_letter(i)}.ckpt")
-
-
-def baseline_ckpt_path(out_dir, i):
-    return os.path.join(out_dir, f"baseline_{model_letter(i)}.ckpt")
+def ckpt_path(out_dir, model_id):
+    """Checkpoint of "mentor", "student_<x>" or "baseline_<x>"."""
+    return os.path.join(out_dir, f"{model_id}.ckpt")
 
 
 def soft_labels_path(out_dir):
@@ -111,18 +104,7 @@ def image_payload_checksum(images):
 def generate_soft_labels(mentor, images, batch_size=256):
     """Run the mentor in eval mode over a pool; returns its softmax rows as-is."""
     images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 4 or images.shape[1:] != mentor.input_shape:
-        raise ShapeError(
-            f"pool shape {images.shape} does not match mentor input "
-            f"{mentor.input_shape}"
-        )
-    mentor.set_mode("eval")
-    rows = np.concatenate(
-        [
-            mentor.forward(images[start : start + batch_size])
-            for start in range(0, images.shape[0], batch_size)
-        ]
-    )
+    rows = mentor.predict(images, batch_size)
     return SoftLabelSet(rows, image_payload_checksum(images), mentor.arch)
 
 
@@ -239,7 +221,11 @@ def load_soft_labels(path):
         raise FormatError(f"{path}: mentor id is not ASCII") from exc
     rows = np.frombuffer(cur.take(n * k * 4), dtype="<f4")
     cur.done()
-    return SoftLabelSet(rows.astype(np.float64).reshape(n, k), checksum, mentor_id)
+    rows = rows.astype(np.float64).reshape(n, k)
+    invalid = invalid_distribution_row(rows)
+    if invalid:
+        raise FormatError(f"{path}: soft-label {invalid}")
+    return SoftLabelSet(rows, checksum, mentor_id)
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +264,20 @@ def prepare_data(cfg: ExperimentConfig):
     return train_set, test_set, foreign
 
 
-def resolve_split(cfg, train_set, require_manifest=False):
-    """Split via the manifest file when present (exact replay), else compute
-    the balanced split and record it."""
-    path = manifest_path(cfg.output_dir)
-    if os.path.exists(path):
-        mask = load_split_manifest(path)
-        return apply_split_manifest(train_set, mask)
-    if require_manifest:
-        raise MissingArtifactError(f"split manifest not found: {path} (run `split` first)")
-    mentor_idx, student_idx = split_indices(train_set, cfg.split)
+def write_split(cfg, train_set):
+    """Compute the stratified split from cfg.split and record it as the
+    manifest, replacing any earlier one."""
+    mentor_idx, _ = split_indices(train_set, cfg.split)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    save_split_manifest(path, train_set.n, mentor_idx)
-    return train_set.subset(mentor_idx), train_set.subset(student_idx)
+    save_split_manifest(manifest_path(cfg.output_dir), train_set.n, mentor_idx)
+
+
+def resolve_split(cfg, train_set):
+    """(mentor_set, student_set) replayed exactly from the recorded manifest."""
+    path = manifest_path(cfg.output_dir)
+    if not os.path.exists(path):
+        raise MissingArtifactError(f"split manifest not found: {path} (run `split` first)")
+    return apply_split_manifest(train_set, load_split_manifest(path))
 
 
 def build_student_pool(cfg, student_set, foreign):
@@ -306,12 +293,7 @@ def build_student_pool(cfg, student_set, foreign):
 
 def train_mentor(cfg, mentor_set, test_set, progress=None):
     """Train the mentor on its split's hard labels. Returns (stack, logs)."""
-    stack = parse_arch(
-        cfg.mentor_arch, mentor_set.image_shape, mentor_set.num_classes,
-        seed=cfg.mentor_train.seed,
-    )
-    targets = one_hot_rows(mentor_set.labels, mentor_set.num_classes)
-    return train(stack, mentor_set.images, targets, test_set, cfg.mentor_train, progress)
+    return train_baseline(cfg.mentor_train, mentor_set, cfg.mentor_arch, test_set, progress)
 
 
 def train_student(train_cfg, images, soft, arch, test_set, progress=None):
@@ -337,13 +319,14 @@ def train_student(train_cfg, images, soft, arch, test_set, progress=None):
 
 
 def train_baseline(train_cfg, pool, arch, test_set, progress=None):
-    """Reference run: same pool, but trained on its ground-truth hard labels."""
+    """Train on a labeled set's ground-truth hard labels: the student pool for
+    a baseline (the reference run), or the mentor split for the mentor."""
     labels = pool.labels
     if labels.size == 0:
-        raise ValidationError("baseline pool is empty")
+        raise ValidationError("hard-label training set is empty")
     if labels.min() < 0:
         raise ValidationError(
-            "baseline pool contains sentinel rows without hard labels"
+            "hard-label training set contains sentinel rows without hard labels"
         )
     stack = parse_arch(arch, pool.image_shape, pool.num_classes, seed=train_cfg.seed)
     targets = one_hot_rows(labels, pool.num_classes)

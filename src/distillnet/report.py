@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .evaluation import format_percent
 from .fileio import atomic_write_text
@@ -32,15 +30,12 @@ def fmt6(x):
 
 @dataclass
 class ModelResult:
-    """Everything a report can say about one trained model."""
+    """One summary.csv row."""
 
     model_id: str
     arch: str
     accuracy: float  # fraction in [0, 1]
     relative_accuracy: float = None  # percent, None for the mentor
-    confusion: object = None  # ConfusionMatrix
-    epochs: list = None  # [EpochLog]
-    bench: object = None  # BenchResult
 
 
 def _csv_text(header, rows):
@@ -107,70 +102,10 @@ def write_bench(bench_results, path):
     atomic_write_text(path, _csv_text(BENCH_HEADER, rows))
 
 
-def emit_report(results, output_dir, zero_wall_time=True):
-    """Write summary.csv and bench.csv (always, header-only when empty) plus
-    confusion_<model>.csv / epochs_<model>.csv for models that carry them."""
-    os.makedirs(output_dir, exist_ok=True)
-    write_summary(results, summary_csv_path(output_dir))
-    write_bench(
-        [r.bench for r in results if r.bench is not None],
-        bench_csv_path(output_dir),
-    )
-    for r in results:
-        if r.confusion is not None:
-            write_confusion(r.confusion, confusion_csv_path(output_dir, r.model_id))
-        if r.epochs is not None:
-            write_epochs(
-                r.epochs,
-                epochs_csv_path(output_dir, r.model_id),
-                zero_wall_time=zero_wall_time,
-            )
-
-
-def sweep_split_ratios(cfg, ratios=None, seeds=None, progress=None):
-    """Rerun the full pipeline per mentor-fraction ratio, averaging over seeds.
-
-    The student uses the mentor's architecture (the same-arch student is what
-    the ratio sweep tracks). Returns [(ratio, mentor_acc, student_acc)] as
-    fractions and writes one sweep.csv row per ratio.
-    """
-    from . import pipeline  # local import: pipeline imports config, not report
-    from .splitting import SplitConfig, balanced_split
-
-    ratios = list(cfg.sweep_ratios if ratios is None else ratios)
-    if seeds is None:
-        seeds = list(cfg.sweep_seeds) if cfg.sweep_seeds else [cfg.split.seed]
-    train_set, test_set, foreign = pipeline.prepare_data(cfg)
-
-    rows = []
-    for ratio in ratios:
-        mentor_accs, student_accs = [], []
-        for seed in seeds:
-            run_cfg = replace(
-                cfg,
-                split=SplitConfig(mentor_fraction=ratio, seed=seed),
-                mentor_train=replace(cfg.mentor_train, seed=seed),
-                student_train=replace(cfg.student_train, seed=seed),
-            )
-            mentor_set, student_set = balanced_split(train_set, run_cfg.split)
-            mentor, mentor_logs = pipeline.train_mentor(run_cfg, mentor_set, test_set)
-            pool = pipeline.build_student_pool(run_cfg, student_set, foreign)
-            soft = pipeline.generate_soft_labels(mentor, pool.images)
-            _, student_logs = pipeline.train_student(
-                run_cfg.student_train, pool.images, soft, run_cfg.mentor_arch, test_set
-            )
-            mentor_accs.append(mentor_logs[-1].test_accuracy)
-            student_accs.append(student_logs[-1].test_accuracy)
-            if progress is not None:
-                progress(ratio, seed, mentor_accs[-1], student_accs[-1])
-        rows.append((ratio, float(np.mean(mentor_accs)), float(np.mean(student_accs))))
-
-    os.makedirs(cfg.output_dir, exist_ok=True)
+def write_sweep(rows, path):
+    """rows: [(ratio, mentor_accuracy, student_accuracy)], accuracies as fractions."""
     csv_rows = [
         [fmt6(ratio), format_percent(m * 100.0), format_percent(s * 100.0)]
         for ratio, m, s in rows
     ]
-    atomic_write_text(
-        sweep_csv_path(cfg.output_dir), _csv_text(SWEEP_HEADER, csv_rows)
-    )
-    return rows
+    atomic_write_text(path, _csv_text(SWEEP_HEADER, csv_rows))

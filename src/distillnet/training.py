@@ -50,23 +50,39 @@ class EpochLog:
     wall_time_s: float
 
 
+def invalid_distribution_row(rows):
+    """Describe the first row of a 2-d array that is not a probability
+    distribution, or return None when every row is one.
+
+    A row must be non-negative and sum to 1 within 1e-6. A NaN or -inf entry
+    makes the row minimum fail the sign test and +inf fails the sum, so
+    every accepted row is finite.
+    """
+    sums = rows.sum(axis=1)
+    # written so that NaN entries and sums fail the test too
+    ok = (rows.min(axis=1) >= 0) & (np.abs(sums - 1.0) <= 1e-6)
+    if ok.all():
+        return None
+    bad = int(np.argmin(ok))
+    return (f"row {bad} is not a probability distribution"
+            f" (sum {sums[bad]!r}, min {rows[bad].min()!r})")
+
+
 def cross_entropy(pred, target):
     """Mean over rows of sum_k -target_k * ln(pred_k).
 
-    Both arrays are (N, K); target rows must sum to 1 within 1e-6. Entries of
-    target that are exactly 0 contribute nothing even if the matching pred
-    entry underflowed to 0.
+    Both arrays are (N, K); every target row must be a probability
+    distribution (see invalid_distribution_row). Entries of target that are
+    exactly 0 contribute nothing even if the matching pred entry underflowed
+    to 0.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim != 2 or pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} and target {target.shape} must be equal 2-d shapes")
-    sums = target.sum(axis=1)
-    # written so that a NaN sum fails the test too
-    ok = np.abs(sums - 1.0) <= 1e-6
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        raise ValidationError(f"target row {bad} sums to {sums[bad]!r}, expected 1")
+    invalid = invalid_distribution_row(target)
+    if invalid:
+        raise ValidationError(f"target {invalid}")
     active = target > 0
     logp = np.log(np.where(active, pred, 1.0))
     return float(-(target * logp).sum() / pred.shape[0])
@@ -87,23 +103,13 @@ def sgd_step(params, grads, velocity, cfg):
 
 def _test_metrics(stack, test_set, batch_size=256):
     """(accuracy, mean one-hot cross-entropy) of a stack on a labeled set."""
-    prev = stack.mode
-    stack.set_mode("eval")
     labels = test_set.labels
     if np.any(labels < 0):
         raise ValidationError("metrics need real labels; set contains sentinel rows")
-    n = test_set.n
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        probs = stack.forward(test_set.images[start:stop])
-        batch_labels = labels[start:stop]
-        correct += int((probs.argmax(axis=1) == batch_labels).sum())
-        p_true = probs[np.arange(stop - start), batch_labels]
-        loss_sum += float(-np.log(p_true).sum())
-    stack.set_mode(prev)
-    return correct / n, loss_sum / n
+    probs = stack.predict(test_set.images, batch_size)
+    correct = int((probs.argmax(axis=1) == labels).sum())
+    loss = float(-np.log(probs[np.arange(test_set.n), labels]).sum())
+    return correct / test_set.n, loss / test_set.n
 
 
 def train(stack, images, targets, test_set, cfg, progress=None):

@@ -12,8 +12,19 @@ from distillnet.config import (
     parse_config_text,
 )
 from distillnet.errors import ConfigError
-from distillnet.evaluation import BenchResult, ConfusionMatrix
-from distillnet.report import ModelResult, emit_report, fmt6, write_epochs
+from distillnet.evaluation import BenchResult, ConfusionMatrix, format_percent
+from distillnet.report import (
+    ModelResult,
+    bench_csv_path,
+    confusion_csv_path,
+    epochs_csv_path,
+    fmt6,
+    summary_csv_path,
+    write_bench,
+    write_confusion,
+    write_epochs,
+    write_summary,
+)
 from distillnet.training import EpochLog
 
 BASE = """
@@ -165,22 +176,27 @@ def test_cifar_requires_batches():
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# report writers: the summary, bench, epoch and confusion CSVs of one run
 
 
-def sample_results():
+def write_sample_report(out, zero_wall_time=True):
+    os.makedirs(out)
+    write_summary(
+        [ModelResult("mentor", "c-mp-fc-s", 0.9746, None),
+         ModelResult("student_a", "c-mp-fc-s", 0.9738, 99.9179)],
+        summary_csv_path(out),
+    )
+    write_bench([BenchResult("mentor", 3, [0.1, 0.2, 0.3], 0.2, 0.0816496580927726)],
+                bench_csv_path(out))
     epochs = [EpochLog(1, 1.5, 1.4, 0.5, 3.3), EpochLog(2, 1.2, 1.1, 0.625, 3.1)]
-    confusion = ConfusionMatrix(np.array([[8, 2], [1, 9]]))
-    bench = BenchResult("mentor", 3, [0.1, 0.2, 0.3], 0.2, 0.0816496580927726)
-    return [
-        ModelResult("mentor", "c-mp-fc-s", 0.9746, None, confusion, epochs, bench),
-        ModelResult("student_a", "c-mp-fc-s", 0.9738, 99.9179, None, epochs, None),
-    ]
+    write_epochs(epochs, epochs_csv_path(out, "mentor"), zero_wall_time)
+    write_confusion(ConfusionMatrix(np.array([[8, 2], [1, 9]])),
+                    confusion_csv_path(out, "mentor"))
 
 
 def test_emit_report_files_and_contents(tmp_path):
     out = str(tmp_path / "rep")
-    emit_report(sample_results(), out)
+    write_sample_report(out)
     summary = open(os.path.join(out, "summary.csv")).read()
     assert summary.splitlines() == [
         "model,arch,accuracy,relative_accuracy",
@@ -204,30 +220,29 @@ def test_emit_report_files_and_contents(tmp_path):
         "0,8,2",
         "1,1,9",
     ]
-    assert not os.path.exists(os.path.join(out, "confusion_student_a.csv"))
 
 
 def test_emit_report_keeps_wall_time_when_asked(tmp_path):
     out = str(tmp_path / "rep")
-    emit_report(sample_results(), out, zero_wall_time=False)
+    write_sample_report(out, zero_wall_time=False)
     epochs = open(os.path.join(out, "epochs_mentor.csv")).read()
     assert "3.3" in epochs
 
 
 def test_emit_report_empty_results(tmp_path):
-    out = str(tmp_path / "rep")
-    emit_report([], out)
-    assert open(os.path.join(out, "summary.csv")).read() == (
+    write_summary([], str(tmp_path / "summary.csv"))
+    write_bench([], str(tmp_path / "bench.csv"))
+    assert open(tmp_path / "summary.csv").read() == (
         "model,arch,accuracy,relative_accuracy\n"
     )
-    assert open(os.path.join(out, "bench.csv")).read() == "model,reps,mean_s,std_s\n"
+    assert open(tmp_path / "bench.csv").read() == "model,reps,mean_s,std_s\n"
 
 
 def test_emit_report_is_deterministic(tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
-    emit_report(sample_results(), a)
-    emit_report(sample_results(), b)
+    write_sample_report(a)
+    write_sample_report(b)
     for name in ("summary.csv", "bench.csv", "epochs_mentor.csv"):
         assert open(os.path.join(a, name), "rb").read() == open(
             os.path.join(b, name), "rb"
@@ -370,6 +385,39 @@ def test_cli_sweep(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0.2"
     assert lines[2].split(",")[0] == "0.5"
+
+
+def test_cli_sweep_matches_run_all(tmp_path):
+    # one (ratio, seed) of the sweep is the run-all pipeline with that split
+    # and seed and the mentor's arch as the only student
+    path, out = write_cfg(tmp_path, extra="sweep.ratios=0.5\nsweep.seeds=3\n")
+    assert run_cli("sweep", "--config", path) == 0
+    run_dir = str(tmp_path / "run_all")
+    overrides = [f"output_dir={run_dir}", "split.mentor_fraction=0.5", "split.seed=3",
+                 "mentor_train.seed=3", "student_train.seed=3", "student.archs=fc(32)-fc-s"]
+    assert run_cli("run-all", "--config", path,
+                   *[a for o in overrides for a in ("--override", o)]) == 0
+
+    def final_accuracy(model_id):
+        last = open(os.path.join(run_dir, f"epochs_{model_id}.csv")).read().splitlines()[-1]
+        return format_percent(float(last.split(",")[3]) * 100.0)
+
+    row = open(os.path.join(out, "sweep.csv")).read().splitlines()[1]
+    assert row == f"0.5,{final_accuracy('mentor')},{final_accuracy('student_a')}"
+    sweep_dir = os.path.join(out, "sweep", "0.5_3")
+    for name in ("split_manifest.csv", "mentor.ckpt", "soft_labels.slbl", "student_a.ckpt"):
+        a = open(os.path.join(sweep_dir, name), "rb").read()
+        assert a == open(os.path.join(run_dir, name), "rb").read(), name
+
+
+def test_cli_split_rewrites_manifest_on_rerun(tmp_path):
+    path, out = write_cfg(tmp_path)
+    manifest = os.path.join(out, "split_manifest.csv")
+    assert run_cli("run-all", "--config", path) == 0
+    assert open(manifest).read().count(",mentor\n") == 4 * 10
+    assert run_cli("run-all", "--config", path,
+                   "--override", "split.mentor_fraction=0.5") == 0
+    assert open(manifest).read().count(",mentor\n") == 4 * 20
 
 
 def test_cli_jobs_matches_sequential(tmp_path):

@@ -9,7 +9,6 @@ from distillnet.data import (
     gen_synthetic_split,
     load_cifar,
     load_idx,
-    one_hot,
     one_hot_rows,
     standardize_per_channel,
     subset_classes,
@@ -270,14 +269,6 @@ def test_labeled_set_sentinels_allowed_with_explicit_classes():
 
 # ---------------------------------------------------------------------------
 # encodings and transforms
-
-
-def test_one_hot():
-    assert one_hot(2, 4).tolist() == [0.0, 0.0, 1.0, 0.0]
-    with pytest.raises(ValidationError):
-        one_hot(4, 4)
-    with pytest.raises(ValidationError):
-        one_hot(-1, 4)
 
 
 def test_one_hot_rows():

@@ -303,4 +303,29 @@ def test_num_parameters_counts_every_array():
 def test_arch_attribute_is_canonical_render():
     stack = parse_arch("c-c-mp-fc-fc-s", (1, 8, 8), 4, seed=0)
     assert stack.arch == "c^2-mp-fc^2-s"
-    assert stack.render() == stack.arch
+
+
+def test_predict_matches_batched_forward_bytes():
+    # 7 rows in batches of 3: the last batch is partial
+    stack = parse_arch("c(3,4)-mp-fc(8)-fc-s", (1, 6, 6), 3, seed=0)
+    x = np.random.default_rng(0).uniform(size=(7, 1, 6, 6))
+    stack.set_mode("eval")
+    ref = np.concatenate([stack.forward(x[s : s + 3]) for s in range(0, 7, 3)])
+    got = stack.predict(x, batch_size=3)
+    assert got.shape == (7, 3)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_predict_runs_eval_mode_and_restores_mode(mode):
+    stack = parse_arch("fc(8)-d-fc-s", (1, 4, 4), 3, seed=0)
+    x = np.random.default_rng(1).uniform(size=(5, 1, 4, 4))
+    stack.set_mode("eval")
+    ref = stack.forward(x)
+    stack.set_mode(mode)
+    assert stack.predict(x, batch_size=2).tobytes() == ref.tobytes()  # no dropout
+    assert stack.mode == mode
+    with pytest.raises(ShapeError):
+        stack.predict(np.zeros((2, 1, 5, 5)))
+    assert stack.mode == mode
+

@@ -192,6 +192,16 @@ def test_soft_labels_corruption_detected(tmp_path):
         load_soft_labels(str(tmp_path / "ghost.slbl"))
 
 
+@pytest.mark.parametrize("bad_row", [[1.5, -0.5, 0.0], [np.nan, 0.5, 0.5]])
+def test_soft_labels_reject_invalid_rows(tmp_path, bad_row):
+    # [1.5, -0.5, 0] sums to 1: only the sign test rejects it
+    rows = np.array([[0.2, 0.3, 0.5], bad_row, [1.0, 0.0, 0.0]])
+    path = str(tmp_path / "x.slbl")
+    save_soft_labels(SoftLabelSet(rows, source_checksum=1, mentor_id="fc-s"), path)
+    with pytest.raises(FormatError, match="row 1 "):
+        load_soft_labels(path)
+
+
 def test_image_payload_checksum_sensitivity():
     imgs = gen_synthetic(2, 5, (1, 4, 4), 0, 0.5).images
     base = image_payload_checksum(imgs)

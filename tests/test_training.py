@@ -90,6 +90,15 @@ def test_cross_entropy_rejects_nan_target_row():
     assert "row 1" in str(err.value)
 
 
+def test_cross_entropy_rejects_negative_target_row():
+    # the row sums to 1; the loss would skip its negative entry, but the
+    # gradient (probs - targets) would still be driven by it
+    target = np.array([[0.5, 0.5, 0.0], [1.5, -0.5, 0.0]])
+    with pytest.raises(ValidationError) as err:
+        cross_entropy(np.full((2, 3), 1 / 3), target)
+    assert "row 1" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # SGD with momentum
 
