@@ -34,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import pipeline, report
-from .config import build_experiment_config, load_config
+from .config import load_config
 from .errors import ConfigError, DistillError, MissingArtifactError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
 from .pipeline import model_letter
@@ -129,10 +129,6 @@ def _train_one(cfg, kind, i):
     return logs
 
 
-def _worker(raw, kind, i):
-    _train_one(build_experiment_config(raw), kind, i)
-
-
 def _run_indexed(kind, cfg, jobs):
     count = len(cfg.student_archs)
     if jobs <= 1 or count < 2:
@@ -140,7 +136,7 @@ def _run_indexed(kind, cfg, jobs):
             _train_one(cfg, kind, i)
         return
     with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
-        futures = [pool.submit(_worker, cfg.raw, kind, i) for i in range(count)]
+        futures = [pool.submit(_train_one, cfg, kind, i) for i in range(count)]
         for fut in futures:
             fut.result()
 
@@ -211,9 +207,7 @@ def stage_bench(cfg, reps=100, warmup=3):
 def stage_sweep(cfg):
     """Per (ratio, seed), the run-all stages up to train-student in
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
-    sweep.csv gets the per-ratio means over seeds. Training stays in this
-    process: ``replace`` leaves run_cfg.raw, which --jobs workers rebuild
-    from, describing the base config."""
+    sweep.csv gets the per-ratio means over seeds."""
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
     rows = []
     for ratio in cfg.sweep_ratios:

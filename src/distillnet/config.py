@@ -6,102 +6,148 @@ CLI edits the parsed mapping and is defined to be equivalent to editing the
 file. All validation failures raise ConfigError carrying the offending key.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+# No ``from __future__ import annotations``: each field's ``type`` must be the
+# class itself, because it picks the key's converter or marks a key group.
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError, ValidationError
 from .splitting import PerturbConfig, SplitConfig
 from .training import TrainConfig
 
-_TRAIN_KEYS = ("learning_rate", "momentum", "batch_size", "epochs", "seed", "shuffle", "lr_decay")
 
-KNOWN_KEYS = {
-    "dataset.kind",
-    "dataset.train_images",
-    "dataset.train_labels",
-    "dataset.test_images",
-    "dataset.test_labels",
-    "dataset.train_batches",
-    "dataset.test_batches",
-    "dataset.classes",
-    "dataset.per_class",
-    "dataset.test_per_class",
-    "dataset.shape",
-    "dataset.difficulty",
-    "dataset.seed",
-    "dataset.class_subset",
-    "dataset.per_class_cap",
-    "dataset.standardize",
-    "split.mentor_fraction",
-    "split.seed",
-    "perturb.kind",
-    "perturb.ratio_bound",
-    "perturb.seed",
-    "perturb.foreign_classes",
-    "perturb.foreign_per_class",
-    "perturb.foreign_seed",
-    "perturb.foreign_batches",
-    "mentor.arch",
-    "student.archs",
-    "output_dir",
-    "report.zero_wall_time",
-    "sweep.ratios",
-    "sweep.seeds",
-}
-KNOWN_KEYS |= {f"mentor_train.{k}" for k in _TRAIN_KEYS}
-KNOWN_KEYS |= {f"student_train.{k}" for k in _TRAIN_KEYS}
+def _text(key, value):
+    return value
 
-SEED_KEYS = (
-    "dataset.seed",
-    "split.seed",
-    "perturb.seed",
-    "mentor_train.seed",
-    "student_train.seed",
-)
 
-DEFAULT_SWEEP_RATIOS = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8)
+def _to_bool(key, value):
+    low = value.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ConfigError(key, f"expected a boolean, got {value!r}")
+
+
+def _to_int(key, value):
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(key, f"expected an integer, got {value!r}") from None
+
+
+def _to_float(key, value):
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(key, f"expected a number, got {value!r}") from None
+
+
+# converter for a field of this type, when the field names none of its own
+_BY_TYPE = {str: _text, bool: _to_bool, int: _to_int, float: _to_float}
+
+
+def _list_of(conv=str, wrap=list):
+    """Converter for a comma-separated list of conv(item), built by wrap."""
+
+    def to_list(key, value):
+        items = [part.strip() for part in value.split(",") if part.strip()]
+        if not items:
+            raise ConfigError(key, "expected a comma-separated list")
+        try:
+            return wrap(conv(item) for item in items)
+        except ValueError:
+            raise ConfigError(key, f"bad list element in {value!r}") from None
+
+    return to_list
+
+
+def _to_arch_list(key, value):
+    # Split only on commas outside parentheses, so "c(3,4)-s,fc-s" is two
+    # architectures, not three fragments.
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(value):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(depth - 1, 0)
+        elif ch == "," and depth == 0:
+            items.append(value[start:i].strip())
+            start = i + 1
+    items.append(value[start:].strip())
+    items = [item for item in items if item]
+    if not items:
+        raise ConfigError(key, "expected a comma-separated list")
+    return items
+
+
+def _to_dataset_kind(key, value):
+    if value not in ("synthetic", "mnist", "cifar10"):
+        raise ConfigError(key, f"must be synthetic|mnist|cifar10, got {value!r}")
+    return value
+
+
+def _key(key, default=MISSING, conv=None, kind=None):
+    """A field read from config key ``key``, converted by ``conv`` (or by the
+    field's type). Without a default the key is required; with ``kind`` it is
+    required when dataset.kind is that kind."""
+    return field(default=default, metadata={"key": key, "conv": conv, "kind": kind})
 
 
 @dataclass
 class ExperimentConfig:
-    dataset_kind: str
-    output_dir: str
-    mentor_arch: str
-    student_archs: list
-    split: SplitConfig
-    mentor_train: TrainConfig
-    student_train: TrainConfig
-    perturb: PerturbConfig = None
+    """The typed config. Every field names its key; a field typed as a
+    dataclass reads that dataclass's fields from ``<key>.<field name>``."""
+
+    dataset_kind: str = _key("dataset.kind", conv=_to_dataset_kind)
+    output_dir: str = _key("output_dir")
+    mentor_arch: str = _key("mentor.arch")
+    student_archs: list = _key("student.archs", conv=_to_arch_list)
+    split: SplitConfig = _key("split")
+    mentor_train: TrainConfig = _key("mentor_train")
+    student_train: TrainConfig = _key("student_train")
+    perturb: PerturbConfig = _key("perturb", None)  # None while perturb.kind=none
     # mnist
-    train_images: str = None
-    train_labels: str = None
-    test_images: str = None
-    test_labels: str = None
+    train_images: str = _key("dataset.train_images", None, kind="mnist")
+    train_labels: str = _key("dataset.train_labels", None, kind="mnist")
+    test_images: str = _key("dataset.test_images", None, kind="mnist")
+    test_labels: str = _key("dataset.test_labels", None, kind="mnist")
     # cifar10
-    train_batches: list = None
-    test_batches: list = None
+    train_batches: list = _key("dataset.train_batches", None, _list_of(), "cifar10")
+    test_batches: list = _key("dataset.test_batches", None, _list_of(), "cifar10")
     # synthetic
-    classes: int = 10
-    per_class: int = 100
-    test_per_class: int = 100
-    shape: tuple = (1, 8, 8)
-    difficulty: float = 0.5
-    dataset_seed: int = 0
+    classes: int = _key("dataset.classes", 10)
+    per_class: int = _key("dataset.per_class", 100)
+    test_per_class: int = _key("dataset.test_per_class", 100)
+    shape: tuple = _key("dataset.shape", (1, 8, 8), _list_of(int, tuple))
+    difficulty: float = _key("dataset.difficulty", 0.5)
+    dataset_seed: int = _key("dataset.seed", 0)
     # post-load transforms
-    class_subset: list = None
-    per_class_cap: int = None
-    standardize: bool = False
+    class_subset: list = _key("dataset.class_subset", None, _list_of(int))
+    per_class_cap: int = _key("dataset.per_class_cap", None)
+    standardize: bool = _key("dataset.standardize", False)
     # foreign source for inject
-    foreign_classes: int = 10
-    foreign_per_class: int = 100
-    foreign_seed: int = 1
-    foreign_batches: list = None
+    foreign_classes: int = _key("perturb.foreign_classes", 10)
+    foreign_per_class: int = _key("perturb.foreign_per_class", 100)
+    foreign_seed: int = _key("perturb.foreign_seed", 1)
+    foreign_batches: list = _key("perturb.foreign_batches", None, _list_of())
     # reporting / sweep
-    zero_wall_time: bool = True
-    sweep_ratios: tuple = DEFAULT_SWEEP_RATIOS
-    sweep_seeds: tuple = None
-    raw: dict = field(default_factory=dict, repr=False)
+    zero_wall_time: bool = _key("report.zero_wall_time", True)
+    sweep_ratios: tuple = _key("sweep.ratios", (0.05, 0.1, 0.2, 0.4, 0.6, 0.8),
+                               _list_of(float, tuple))
+    sweep_seeds: tuple = _key("sweep.seeds", None, _list_of(int, tuple))
+
+
+def _config_keys():
+    for f in fields(ExperimentConfig):
+        if is_dataclass(f.type):
+            yield from (f"{f.metadata['key']}.{g.name}" for g in fields(f.type))
+        else:
+            yield f.metadata["key"]
+
+
+KNOWN_KEYS = frozenset(_config_keys())
+SEED_KEYS = tuple(sorted(key for key in KNOWN_KEYS if key.endswith(".seed")))
 
 
 def parse_config_text(text, source="<config>"):
@@ -147,88 +193,20 @@ def apply_seed_shorthand(mapping, seed):
     return out
 
 
-def _to_bool(key, value):
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(key, f"expected a boolean, got {value!r}")
-
-
-def _to_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(key, f"expected an integer, got {value!r}") from None
-
-
-def _to_float(key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {value!r}") from None
-
-
-def _to_list(key, value, conv=str):
-    items = [part.strip() for part in value.split(",") if part.strip()]
-    if not items:
-        raise ConfigError(key, "expected a comma-separated list")
-    try:
-        return [conv(item) for item in items]
-    except ValueError:
-        raise ConfigError(key, f"bad list element in {value!r}") from None
-
-
-def _to_arch_list(key, value):
-    # Split only on commas outside parentheses, so "c(3,4)-s,fc-s" is two
-    # architectures, not three fragments.
-    items, depth, start = [], 0, 0
-    for i, ch in enumerate(value):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(depth - 1, 0)
-        elif ch == "," and depth == 0:
-            items.append(value[start:i].strip())
-            start = i + 1
-    items.append(value[start:].strip())
-    items = [item for item in items if item]
-    if not items:
-        raise ConfigError(key, "expected a comma-separated list")
-    return items
-
-
-class _Reader:
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def get(self, key, default=None, conv=None, required=False):
-        if key not in self.mapping:
-            if required:
-                raise ConfigError(key, "required key is missing")
-            return default
-        value = self.mapping[key]
-        return conv(key, value) if conv else value
-
-
-def _build_train_config(reader, prefix):
+def _group(mapping, prefix, cls):
+    """Build dataclass cls from the ``<prefix>.<field>`` keys, each converted
+    by its field's type; cls's own defaults fill in the missing ones."""
+    types = get_type_hints(cls)
     kwargs = {}
-    for name in _TRAIN_KEYS:
-        key = f"{prefix}.{name}"
-        if name in ("learning_rate", "momentum", "lr_decay"):
-            value = reader.get(key, conv=_to_float)
-        elif name == "shuffle":
-            value = reader.get(key, conv=_to_bool)
-        else:
-            value = reader.get(key, conv=_to_int)
-        if value is not None:
-            kwargs[name] = value
+    for f in fields(cls):
+        key = f"{prefix}.{f.name}"
+        if key in mapping:
+            kwargs[f.name] = _BY_TYPE[types[f.name]](key, mapping[key])
     try:
-        return TrainConfig(**kwargs)
+        return cls(**kwargs)
     except ValidationError as exc:
-        offending = str(exc).split(" ", 1)[0]
-        raise ConfigError(f"{prefix}.{offending}", str(exc)) from None
+        # the config dataclasses start each message with the field's name
+        raise ConfigError(f"{prefix}.{str(exc).split(' ', 1)[0]}", str(exc)) from None
 
 
 def build_experiment_config(mapping):
@@ -236,82 +214,25 @@ def build_experiment_config(mapping):
     unknown = sorted(set(mapping) - KNOWN_KEYS)
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")
-    r = _Reader(mapping)
-
-    kind = r.get("dataset.kind", required=True)
-    if kind not in ("synthetic", "mnist", "cifar10"):
-        raise ConfigError("dataset.kind", f"must be synthetic|mnist|cifar10, got {kind!r}")
-
-    try:
-        split = SplitConfig(
-            mentor_fraction=r.get("split.mentor_fraction", 0.2, _to_float),
-            seed=r.get("split.seed", 0, _to_int),
-        )
-    except ValidationError as exc:
-        raise ConfigError("split.mentor_fraction", str(exc)) from None
-
-    perturb = None
-    perturb_kind = r.get("perturb.kind", "none")
-    if perturb_kind != "none":
-        try:
-            perturb = PerturbConfig(
-                kind=perturb_kind,
-                ratio_bound=r.get("perturb.ratio_bound", 0.0, _to_float),
-                seed=r.get("perturb.seed", 0, _to_int),
-            )
-        except ValidationError as exc:
-            key = "perturb.kind" if "kind" in str(exc) else "perturb.ratio_bound"
-            raise ConfigError(key, str(exc)) from None
-
-    cfg = ExperimentConfig(
-        dataset_kind=kind,
-        output_dir=r.get("output_dir", required=True),
-        mentor_arch=r.get("mentor.arch", required=True),
-        student_archs=r.get("student.archs", required=True, conv=_to_arch_list),
-        split=split,
-        perturb=perturb,
-        mentor_train=_build_train_config(r, "mentor_train"),
-        student_train=_build_train_config(r, "student_train"),
-        train_images=r.get("dataset.train_images"),
-        train_labels=r.get("dataset.train_labels"),
-        test_images=r.get("dataset.test_images"),
-        test_labels=r.get("dataset.test_labels"),
-        train_batches=r.get("dataset.train_batches", conv=_to_list),
-        test_batches=r.get("dataset.test_batches", conv=_to_list),
-        classes=r.get("dataset.classes", 10, _to_int),
-        per_class=r.get("dataset.per_class", 100, _to_int),
-        test_per_class=r.get("dataset.test_per_class", 100, _to_int),
-        shape=tuple(r.get("dataset.shape", [1, 8, 8], lambda k, v: _to_list(k, v, int))),
-        difficulty=r.get("dataset.difficulty", 0.5, _to_float),
-        dataset_seed=r.get("dataset.seed", 0, _to_int),
-        class_subset=r.get("dataset.class_subset", conv=lambda k, v: _to_list(k, v, int)),
-        per_class_cap=r.get("dataset.per_class_cap", conv=_to_int),
-        standardize=r.get("dataset.standardize", False, _to_bool),
-        foreign_classes=r.get("perturb.foreign_classes", 10, _to_int),
-        foreign_per_class=r.get("perturb.foreign_per_class", 100, _to_int),
-        foreign_seed=r.get("perturb.foreign_seed", 1, _to_int),
-        foreign_batches=r.get("perturb.foreign_batches", conv=_to_list),
-        zero_wall_time=r.get("report.zero_wall_time", True, _to_bool),
-        sweep_ratios=tuple(r.get("sweep.ratios", list(DEFAULT_SWEEP_RATIOS),
-                                 lambda k, v: _to_list(k, v, float))),
-        sweep_seeds=r.get("sweep.seeds", None, lambda k, v: tuple(_to_list(k, v, int))),
-        raw=dict(mapping),
-    )
-
-    if kind == "mnist":
-        for key in ("dataset.train_images", "dataset.train_labels",
-                    "dataset.test_images", "dataset.test_labels"):
-            if key not in mapping:
-                raise ConfigError(key, "required for dataset.kind=mnist")
-    if kind == "cifar10":
-        for key in ("dataset.train_batches", "dataset.test_batches"):
-            if key not in mapping:
-                raise ConfigError(key, "required for dataset.kind=cifar10")
-    for arch_key, arch in [("mentor.arch", cfg.mentor_arch)] + [
-        ("student.archs", a) for a in cfg.student_archs
-    ]:
-        if not arch:
-            raise ConfigError(arch_key, "architecture string is empty")
+    kwargs = {}
+    for f in fields(ExperimentConfig):
+        key, kind = f.metadata["key"], f.metadata["kind"]
+        if is_dataclass(f.type):
+            if key != "perturb" or mapping.get("perturb.kind", "none") != "none":
+                kwargs[f.name] = _group(mapping, key, f.type)
+        elif key in mapping:
+            kwargs[f.name] = (f.metadata["conv"] or _BY_TYPE[f.type])(key, mapping[key])
+        elif f.default is MISSING:
+            raise ConfigError(key, "required key is missing")
+        elif kind == mapping.get("dataset.kind"):
+            raise ConfigError(key, f"required for dataset.kind={kind}")
+    cfg = ExperimentConfig(**kwargs)
+    if not cfg.mentor_arch:
+        raise ConfigError("mentor.arch", "architecture string is empty")
+    if cfg.per_class_cap is not None and cfg.class_subset is None:
+        raise ConfigError("dataset.per_class_cap", "requires dataset.class_subset")
+    if cfg.per_class_cap is not None and cfg.per_class_cap < 1:
+        raise ConfigError("dataset.per_class_cap", f"must be >= 1, got {cfg.per_class_cap}")
     return cfg
 
 

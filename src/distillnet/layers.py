@@ -35,8 +35,6 @@ class Layer:
         self.params = {}
         self.grads = {}
         self.cache = None
-        self.in_shape = None
-        self.out_shape = None
 
     def param_items(self):
         """Trainable arrays in a fixed order."""
@@ -230,10 +228,6 @@ class ReLU(Layer):
     """max(x, 0). Stacks insert these implicitly after conv/fc tokens."""
 
     kind = "relu"
-
-    def __init__(self, implicit=False):
-        super().__init__()
-        self.implicit = implicit
 
     def forward(self, x, train, rng):
         if train:

@@ -201,7 +201,6 @@ def _build_layers(tokens, input_shape, num_classes, rng):
     last_fc = fc_idx[-1] if fc_idx else None
 
     for i, tok in enumerate(tokens[:-1]):
-        in_shape = spatial if flat is None else (flat,)
         if tok.kind == "c":
             if flat is not None:
                 raise ShapeError("c: convolution cannot follow a fully-connected layer")
@@ -245,15 +244,11 @@ def _build_layers(tokens, input_shape, num_classes, rng):
         elif tok.kind == "d":
             layers.append(Dropout(float(tok.args[0]) if tok.args else 0.5))
         elif tok.kind == "relu":
-            layers.append(ReLU(implicit=False))
-        layers[-1].in_shape = in_shape
-        layers[-1].out_shape = spatial if flat is None else (flat,)
+            layers.append(ReLU())
         # implicit activation after conv and after every fc but the last
         wants_relu = tok.kind == "c" or (tok.kind == "fc" and i != last_fc)
         if wants_relu and tokens[i + 1].kind != "relu":
-            relu = ReLU(implicit=True)
-            relu.in_shape = relu.out_shape = layers[-1].out_shape
-            layers.append(relu)
+            layers.append(ReLU())
 
     features = flat if flat is not None else int(np.prod(spatial))
     if features != num_classes:
@@ -261,22 +256,20 @@ def _build_layers(tokens, input_shape, num_classes, rng):
             f"s: softmax input has {features} features but num_classes is "
             f"{num_classes}; end the spec with an fc"
         )
-    sm = Softmax()
-    sm.in_shape = sm.out_shape = (num_classes,)
-    layers.append(sm)
+    layers.append(Softmax())
     return layers
 
 
 class LayerStack:
     """A sequential network built from an architecture string.
 
-    The stack owns its layers, the explicit token list it was parsed from,
-    a train/eval mode flag, and the RNG that train-mode dropout draws from.
+    The stack owns its layers, the canonical string of the tokens it was
+    built from (``arch``), a train/eval mode flag, and the RNG that
+    train-mode dropout draws from.
     """
 
     def __init__(self, layers, tokens, input_shape, num_classes):
         self.layers = layers
-        self.tokens = tokens
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.arch = render_tokens(tokens)

@@ -35,12 +35,12 @@ class SplitConfig:
 @dataclass
 class PerturbConfig:
     kind: str  # "reduce" or "inject"
-    ratio_bound: float
+    ratio_bound: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("reduce", "inject"):
-            raise ValidationError(f"perturb kind must be reduce|inject, got {self.kind!r}")
+            raise ValidationError(f"kind must be reduce|inject, got {self.kind!r}")
         if not 0 <= self.ratio_bound <= 1:
             raise ValidationError(
                 f"ratio_bound must be in [0, 1], got {self.ratio_bound}"

@@ -1,10 +1,13 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from distillnet.cli import main
+from distillnet.cli import main, stage_train_student
 from distillnet.config import (
+    KNOWN_KEYS,
+    SEED_KEYS,
     apply_overrides,
     apply_seed_shorthand,
     build_experiment_config,
@@ -13,6 +16,7 @@ from distillnet.config import (
 )
 from distillnet.errors import ConfigError
 from distillnet.evaluation import BenchResult, ConfusionMatrix, format_percent
+from distillnet.pipeline import load_checkpoint
 from distillnet.report import (
     ModelResult,
     bench_csv_path,
@@ -78,6 +82,26 @@ def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert err.value.key == "not.a.key"
+
+
+def test_known_keys_are_the_schema():
+    train = ("learning_rate", "momentum", "batch_size", "epochs", "seed", "shuffle", "lr_decay")
+    assert KNOWN_KEYS == {
+        "dataset.kind", "dataset.train_images", "dataset.train_labels",
+        "dataset.test_images", "dataset.test_labels", "dataset.train_batches",
+        "dataset.test_batches", "dataset.classes", "dataset.per_class",
+        "dataset.test_per_class", "dataset.shape", "dataset.difficulty", "dataset.seed",
+        "dataset.class_subset", "dataset.per_class_cap", "dataset.standardize",
+        "split.mentor_fraction", "split.seed",
+        "perturb.kind", "perturb.ratio_bound", "perturb.seed", "perturb.foreign_classes",
+        "perturb.foreign_per_class", "perturb.foreign_seed", "perturb.foreign_batches",
+        "mentor.arch", "student.archs", "output_dir", "report.zero_wall_time",
+        "sweep.ratios", "sweep.seeds",
+    } | {f"mentor_train.{k}" for k in train} | {f"student_train.{k}" for k in train}
+    assert len(KNOWN_KEYS) == 45
+    assert sorted(SEED_KEYS) == sorted([
+        "dataset.seed", "split.seed", "perturb.seed", "mentor_train.seed", "student_train.seed",
+    ])
 
 
 def test_build_config_defaults(tmp_path):
@@ -152,6 +176,65 @@ def test_config_type_errors_name_the_key(tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(path, overrides=[override])
         assert err.value.key == key, override
+    # every key whose converter rejects plain text; perturb.* is read only
+    # while perturb.kind is not none
+    perturb = ["perturb.kind=reduce"]
+    for key, extra in [
+        ("dataset.kind", []),
+        ("dataset.classes", []),
+        ("dataset.per_class", []),
+        ("dataset.test_per_class", []),
+        ("dataset.shape", []),
+        ("dataset.difficulty", []),
+        ("dataset.seed", []),
+        ("dataset.class_subset", []),
+        ("dataset.per_class_cap", []),
+        ("dataset.standardize", []),
+        ("split.mentor_fraction", []),
+        ("split.seed", []),
+        ("perturb.ratio_bound", perturb),
+        ("perturb.seed", perturb),
+        ("perturb.foreign_classes", []),
+        ("perturb.foreign_per_class", []),
+        ("perturb.foreign_seed", []),
+        ("report.zero_wall_time", []),
+        ("sweep.ratios", []),
+        ("sweep.seeds", []),
+    ] + [(f"{group}.{name}", []) for group in ("mentor_train", "student_train")
+         for name in ("learning_rate", "momentum", "batch_size", "epochs", "seed",
+                      "shuffle", "lr_decay")]:
+        with pytest.raises(ConfigError) as err:
+            load_config(path, overrides=extra + [f"{key}=zz"])
+        assert err.value.key == key, key
+
+
+def test_perturb_kind_none_means_no_perturbation(tmp_path):
+    path, _ = write_cfg(tmp_path)
+    cfg = load_config(path, overrides=["perturb.kind=none", "perturb.ratio_bound=0.5"])
+    assert cfg.perturb is None
+    cfg = load_config(path, overrides=["perturb.kind=reduce", "perturb.ratio_bound=0.5"])
+    assert (cfg.perturb.kind, cfg.perturb.ratio_bound, cfg.perturb.seed) == ("reduce", 0.5, 0)
+
+
+def test_per_class_cap_needs_a_class_subset(tmp_path):
+    path, _ = write_cfg(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        load_config(path, overrides=["dataset.per_class_cap=5"])
+    assert err.value.key == "dataset.per_class_cap"
+    assert run_cli("split", "--config", path, "--override", "dataset.per_class_cap=5") == 1
+    cfg = load_config(path, overrides=["dataset.class_subset=0,2", "dataset.per_class_cap=5"])
+    assert (cfg.class_subset, cfg.per_class_cap) == ([0, 2], 5)
+
+
+def test_per_class_cap_below_one_rejected(tmp_path):
+    path, _ = write_cfg(tmp_path)
+    for cap in ("0", "-1"):
+        overrides = ["dataset.class_subset=0,2", f"dataset.per_class_cap={cap}"]
+        with pytest.raises(ConfigError) as err:
+            load_config(path, overrides=overrides)
+        assert err.value.key == "dataset.per_class_cap", cap
+        argv = [a for o in overrides for a in ("--override", o)]
+        assert run_cli("split", "--config", path, *argv) == 1
 
 
 def test_required_keys():
@@ -433,3 +516,22 @@ def test_cli_jobs_matches_sequential(tmp_path):
     assert run_cli("train-student", "--config", path, "--jobs", "2") == 0
     assert open(os.path.join(out, "student_a.ckpt"), "rb").read() == seq_a
     assert open(os.path.join(out, "student_b.ckpt"), "rb").read() == seq_b
+
+
+def test_jobs_workers_train_the_given_config(tmp_path):
+    # --jobs workers must train the config they are handed, not one rebuilt
+    # from the config file: a replaced student list reaches every worker
+    path, out = write_cfg(tmp_path)
+    assert run_cli("split", "--config", path) == 0
+    assert run_cli("train-mentor", "--config", path) == 0
+    assert run_cli("label", "--config", path) == 0
+    cfg = replace(load_config(path), student_archs=["fc(8)-fc-s", "fc(24)-fc-s"])
+    ckpts = [os.path.join(out, f"student_{x}.ckpt") for x in "ab"]
+    stage_train_student(cfg, jobs=1)
+    sequential = [open(p, "rb").read() for p in ckpts]
+    for p in ckpts:
+        os.remove(p)
+    stage_train_student(cfg, jobs=2)
+    assert load_checkpoint(ckpts[0]).arch == "fc(8)-fc-s"
+    assert load_checkpoint(ckpts[1]).arch == "fc(24)-fc-s"
+    assert [open(p, "rb").read() for p in ckpts] == sequential
