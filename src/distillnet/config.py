@@ -214,11 +214,19 @@ def build_experiment_config(mapping):
     unknown = sorted(set(mapping) - KNOWN_KEYS)
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")
+    for key, value in mapping.items():
+        # numpy seeds its generators from non-negative integers only
+        if key.endswith("seed") and _to_int(key, value) < 0:
+            raise ConfigError(key, f"must be >= 0, got {value}")
     kwargs = {}
     for f in fields(ExperimentConfig):
         key, kind = f.metadata["key"], f.metadata["kind"]
         if is_dataclass(f.type):
-            if key != "perturb" or mapping.get("perturb.kind", "none") != "none":
+            if key == "perturb" and mapping.get("perturb.kind", "none") == "none":
+                # no perturbation, but the other perturb.* keys present are
+                # still converted and range-checked
+                _group({**mapping, "perturb.kind": "reduce"}, key, f.type)
+            else:
                 kwargs[f.name] = _group(mapping, key, f.type)
         elif key in mapping:
             kwargs[f.name] = (f.metadata["conv"] or _BY_TYPE[f.type])(key, mapping[key])
@@ -233,6 +241,12 @@ def build_experiment_config(mapping):
         raise ConfigError("dataset.per_class_cap", "requires dataset.class_subset")
     if cfg.per_class_cap is not None and cfg.per_class_cap < 1:
         raise ConfigError("dataset.per_class_cap", f"must be >= 1, got {cfg.per_class_cap}")
+    if cfg.foreign_classes < 2:
+        raise ConfigError("perturb.foreign_classes", f"must be >= 2, got {cfg.foreign_classes}")
+    if cfg.foreign_per_class < 1:
+        raise ConfigError(
+            "perturb.foreign_per_class", f"must be >= 1, got {cfg.foreign_per_class}"
+        )
     return cfg
 
 

@@ -2,11 +2,15 @@
 
 All arithmetic is float64. Activations keep the (N, C, H, W) shape until a
 fully-connected layer flattens them to (N, features), but their memory may be
-channels-last (N, H, W, C). Conv2d returns an (N, C, H, W) view of its
-(N*H*W, C) GEMM rows and builds its input gradient channels-last too; ReLU and
-MaxPool2d keep the memory order they are given rather than copying to
-channels-first. Each layer caches what its backward pass needs only when the
-stack is in train mode; eval-mode forwards leave no state behind.
+channels-last (N, H, W, C). Conv2d unfolds a channels-last padded copy of its
+input into columns in (kernel row, kernel column, channel) order, returns an
+(N, C, H, W) view of its (N*H*W, C) GEMM rows and builds its input gradient
+channels-last too; ReLU and MaxPool2d keep the memory order they are given
+rather than copying to channels-first. Each layer caches what its backward
+pass needs only when the stack is in train mode; eval-mode forwards leave no
+state behind. A stack clears ``input_grad`` on its first layer, whose input
+gradient nothing reads, so a leading conv or fc computes only its parameter
+gradients.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ class Layer:
     """Base layer: holds parameters, their gradients, and a forward cache."""
 
     kind = "?"
+    # False on a stack's first layer: Conv2d and FullyConnected then skip the
+    # input-gradient GEMM and their backward returns None.
+    input_grad = True
 
     def __init__(self):
         self.params = {}
@@ -57,26 +64,35 @@ class Layer:
 
 
 def _im2col(x, k, pad):
-    """Unfold k*k patches of a padded (N, C, H, W) array into rows.
+    """Unfold k*k patches of an (N, C, H, W) array, zero-padded by pad, into rows.
 
-    Returns (cols, oh, ow) where cols has shape (N*oh*ow, C*k*k) and row
-    (n*oh*ow + i*ow + j) holds the patch producing output pixel (i, j).
+    Returns (cols, oh, ow) where cols has shape (N*oh*ow, k*k*C), row
+    (n*oh*ow + i*ow + j) holds the patch producing output pixel (i, j), and
+    column (u*k*C + v*C + c) holds input channel c at kernel offset (u, v).
+    The patches are gathered from a channels-last padded copy, so each run
+    copied is C contiguous values; the copy is freed on return.
     """
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
     oh = h + 2 * pad - k + 1
     ow = w + 2 * pad - k + 1
-    win = sliding_window_view(x, (k, k), axis=(2, 3))  # (n, c, oh, ow, k, k)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
-    return np.ascontiguousarray(cols), oh, ow
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (n, oh, ow, c, k, k)
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c), oh, ow
 
 
 class Conv2d(Layer):
     """2-d convolution (cross-correlation), stride 1, zero padding k//2.
 
     Weights are He-initialized: W ~ N(0, sqrt(2 / fan_in)) with
-    fan_in = in_channels * k * k, biases start at zero.
+    fan_in = in_channels * k * k, biases start at zero. The weight keeps its
+    (out, in, k, k) shape; the GEMMs read it as (out, k*k*in) rows in the
+    column order of ``_im2col``. The forward pass therefore sums each output
+    over (u, v, c) rather than (c, u, v): a conv with more than one input
+    channel may differ in the last bits from versions that summed channel
+    first (with one input channel, or k = 1, the two orders coincide). Reruns
+    stay byte-identical. No backward sum runs along the column axis, so the
+    gradients equal the channel-first formulation's bit for bit.
     """
 
     kind = "c"
@@ -93,10 +109,14 @@ class Conv2d(Layer):
         )
         self.params["bias"] = np.zeros(out_channels)
 
+    def _weight_rows(self):
+        """The weight as (out, k*k*in) rows, columns in (u, v, c) order."""
+        return self.params["weight"].transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
+
     def forward(self, x, train, rng):
-        w = self.params["weight"]
         cols, oh, ow = _im2col(x, self.kernel, self.pad)
-        y = cols @ w.reshape(self.out_channels, -1).T + self.params["bias"]
+        y = cols @ self._weight_rows().T
+        y += self.params["bias"]
         y = y.reshape(x.shape[0], oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         if train:
             self.cache = (cols, x.shape, oh, ow)
@@ -104,25 +124,27 @@ class Conv2d(Layer):
 
     def backward(self, dy):
         cols, x_shape, oh, ow = self._need_cache()
+        self.cache = None
         n, c, h, w_in = x_shape
         k, p = self.kernel, self.pad
-        w_mat = self.params["weight"].reshape(self.out_channels, -1)
 
         dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        self.grads["weight"] = (dy_mat.T @ cols).reshape(self.params["weight"].shape)
+        dw = (dy_mat.T @ cols).reshape(self.out_channels, k, k, c)
+        self.grads["weight"] = dw.transpose(0, 3, 1, 2)
         self.grads["bias"] = dy_mat.sum(axis=0)
+        if not self.input_grad:
+            return None
 
         # Scatter column gradients back to (padded) input pixels. With stride 1
         # each kernel offset (u, v) contributes one shifted dense slab, so the
-        # scatter is k*k vectorized adds instead of an index-based col2im. The
-        # buffer is channels-last like the column rows, and the returned
-        # (N, C, H, W) view keeps that memory order.
-        dcols = (dy_mat @ w_mat).reshape(n, oh, ow, c, k, k)
+        # scatter is k*k vectorized adds of contiguous (n, oh, ow, c) blocks
+        # instead of an index-based col2im. The buffer is channels-last like
+        # the column rows, and the returned (N, C, H, W) view keeps that order.
+        dcols = (dy_mat @ self._weight_rows()).reshape(n, oh, ow, k, k, c)
         dxp = np.zeros((n, h + 2 * p, w_in + 2 * p, c))
         for u in range(k):
             for v in range(k):
-                dxp[:, u : u + oh, v : v + ow] += dcols[..., u, v]
-        self.cache = None
+                dxp[:, u : u + oh, v : v + ow] += dcols[:, :, :, u, v]
         return dxp[:, p : p + h, p : p + w_in].transpose(0, 3, 1, 2)
 
 
@@ -186,8 +208,12 @@ class MaxPool2d(Layer):
         idx, x_shape = self._need_cache()
         # idx has the input's memory order, so dx gets it too
         dx = np.zeros_like(idx, dtype=np.float64, shape=x_shape)
+        # Select on the bit patterns: dy's bits times 1 or 0 give dy or +0.0
+        # exactly, and run far faster than a masked copy.
+        bits = dy.view(np.uint64)
+        hit = np.empty_like(idx, dtype=bool)
         for k, slab in enumerate(self._slabs(dx)):
-            np.copyto(slab, dy, where=idx == k)
+            np.multiply(bits, np.equal(idx, k, out=hit), out=slab.view(np.uint64))
         self.cache = None
         return dx
 
@@ -221,6 +247,8 @@ class FullyConnected(Layer):
         self.grads["weight"] = xf.T @ dy
         self.grads["bias"] = dy.sum(axis=0)
         self.cache = None
+        if not self.input_grad:
+            return None
         return (dy @ self.params["weight"].T).reshape(x_shape)
 
 

@@ -265,11 +265,13 @@ class LayerStack:
 
     The stack owns its layers, the canonical string of the tokens it was
     built from (``arch``), a train/eval mode flag, and the RNG that
-    train-mode dropout draws from.
+    train-mode dropout draws from. It clears its first layer's
+    ``input_grad``, since nothing reads that layer's input gradient.
     """
 
     def __init__(self, layers, tokens, input_shape, num_classes):
         self.layers = layers
+        layers[0].input_grad = False
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
         self.arch = render_tokens(tokens)

@@ -176,8 +176,8 @@ def test_config_type_errors_name_the_key(tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(path, overrides=[override])
         assert err.value.key == key, override
-    # every key whose converter rejects plain text; perturb.* is read only
-    # while perturb.kind is not none
+    # every key whose converter rejects plain text; perturb.* is checked here
+    # with a perturbation, and without one in the perturb tests below
     perturb = ["perturb.kind=reduce"]
     for key, extra in [
         ("dataset.kind", []),
@@ -235,6 +235,41 @@ def test_per_class_cap_below_one_rejected(tmp_path):
         assert err.value.key == "dataset.per_class_cap", cap
         argv = [a for o in overrides for a in ("--override", o)]
         assert run_cli("split", "--config", path, *argv) == 1
+
+
+_PERTURB_KINDS = ([], ["perturb.kind=none"], ["perturb.kind=reduce"], ["perturb.kind=inject"])
+
+
+def _assert_rejected(path, overrides, key):
+    for kind in _PERTURB_KINDS:
+        with pytest.raises(ConfigError) as err:
+            load_config(path, overrides=kind + overrides)
+        assert err.value.key == key, kind + overrides
+    argv = [a for o in overrides for a in ("--override", o)]
+    assert run_cli("split", "--config", path, *argv) == 1
+
+
+@pytest.mark.parametrize("value", ["zz", "2", "-0.5"])
+def test_perturb_ratio_bound_checked_without_perturbation(tmp_path, value):
+    path, _ = write_cfg(tmp_path)
+    _assert_rejected(path, [f"perturb.ratio_bound={value}"], "perturb.ratio_bound")
+
+
+@pytest.mark.parametrize("value", ["zz", "1.5", "-1"])
+def test_perturb_seed_checked_without_perturbation(tmp_path, value):
+    path, _ = write_cfg(tmp_path)
+    _assert_rejected(path, [f"perturb.seed={value}"], "perturb.seed")
+
+
+@pytest.mark.parametrize("override", [
+    "perturb.foreign_classes=1", "perturb.foreign_classes=zz",
+    "perturb.foreign_per_class=0", "perturb.foreign_per_class=zz",
+    "perturb.foreign_seed=-1", "perturb.foreign_seed=zz",
+    "perturb.foreign_batches=",
+])
+def test_perturb_foreign_keys_checked_without_injection(tmp_path, override):
+    path, _ = write_cfg(tmp_path)
+    _assert_rejected(path, [override], override.split("=")[0])
 
 
 def test_required_keys():

@@ -278,6 +278,41 @@ def test_stack_gradcheck_end_to_end():
         assert max_rel_err(a, numeric_grad(loss, p)) < 1e-4
 
 
+def test_stack_gradcheck_through_multichannel_convs():
+    # the second conv unfolds a 3-channel channels-last activation and returns
+    # its input gradient channels-last; the first conv computes no input
+    # gradient, but its weight and bias gradients still match
+    from gradcheck import max_rel_err, numeric_grad
+    from distillnet.training import cross_entropy
+
+    stack = parse_arch("c(3,3)-c(3,4)-mp-fc(8)-fc-s", (2, 6, 6), 3, seed=5)
+    rng = np.random.default_rng(9)
+    x = rng.random((3, 2, 6, 6))
+    for layer in stack.layers:
+        if "bias" in layer.params:  # zero biases put relu inputs on the kink
+            layer.params["bias"][:] = rng.normal(0.0, 0.1, layer.params["bias"].shape)
+    targets = np.eye(3)
+
+    def loss():
+        stack.set_mode("train")
+        return cross_entropy(stack.forward(x), targets)
+
+    first = stack.layers[0]
+    returned = []
+    backward = first.backward
+
+    def spy(dy):
+        returned.append(backward(dy))
+        return returned[-1]
+
+    first.backward = spy
+    loss()
+    analytic = [g.copy() for g in stack.backward(targets)]
+    assert returned == [None]
+    for a, p in zip(analytic, stack.parameters()):
+        assert max_rel_err(a, numeric_grad(loss, p)) < 1e-4
+
+
 def test_parse_arch_validates_shape_and_classes():
     with pytest.raises(ValidationError):
         parse_arch("fc-s", (4, 4), 3, seed=0)

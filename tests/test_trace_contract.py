@@ -14,19 +14,34 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_span_tracer_runs_split(tmp_path):
-    cfg = str(tmp_path / "synthetic.cfg")
-    shutil.copy(os.path.join(ROOT, "configs", "synthetic.cfg"), cfg)
-    spans_path = tmp_path / "spans.json"
+def _run_traced(tmp_path, verb):
+    """Run one verb on a copy of configs/synthetic.cfg under the span tracer;
+    returns the names of the spans it recorded."""
+    cfg = tmp_path / "synthetic.cfg"
+    if not cfg.exists():
+        shutil.copy(os.path.join(ROOT, "configs", "synthetic.cfg"), cfg)
+    spans_path = tmp_path / f"{verb}.spans.json"
     paths = [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "spans.py"),
-         "--out", str(spans_path), "--", "split", "--config", cfg,
-         "--override", f"output_dir={tmp_path / 'out'}"],
+         "--out", str(spans_path), "--", verb, "--config", str(cfg),
+         "--override", f"output_dir={tmp_path / 'out'}",
+         "--override", "mentor_train.epochs=2"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(spans_path.read_text())
-    assert spans
-    assert "cli.split" in {span[2] for span in spans}
+    return {span[2] for span in json.loads(spans_path.read_text())}
+
+
+def test_span_tracer_runs_split(tmp_path):
+    assert "cli.split" in _run_traced(tmp_path, "split")
+
+
+def test_span_tracer_wraps_the_layers(tmp_path):
+    # the tracer's span labels take exactly Layer.forward(x, train, rng) and
+    # Layer.backward(dy), so a changed layer signature fails the traced verbs
+    _run_traced(tmp_path, "split")
+    names = _run_traced(tmp_path, "train-mentor") | _run_traced(tmp_path, "label")
+    assert {"cli.train-mentor", "cli.label", "layers.c.bwd", "layers.mp.bwd",
+            "layers.c.fwd_eval"} <= names
