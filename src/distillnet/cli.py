@@ -1,8 +1,9 @@
 """Command-line front end: file-driven stages of the distillation pipeline.
 
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
-edits and a ``--seed`` shorthand that rewrites every ``*.seed`` key) and
-talks to the other verbs only through files under ``output_dir``:
+edits and a ``--seed`` shorthand that rewrites every ``*.seed`` key), loads
+the dataset once for all the stages it runs (``--jobs`` workers load their
+own) and talks to the other verbs only through files under ``output_dir``:
 
   split          -> split_manifest.csv (always recomputed)
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
@@ -17,9 +18,10 @@ talks to the other verbs only through files under ``output_dir``:
   run-all        split, train-mentor, label, train-student, eval, confusion
 
 Exit codes: 0 success; 1 configuration problem (message names the offending
-key); 2 a required input artifact does not exist; 3 any other runtime
-failure. Progress and errors go to stderr, stdout stays clean, and all
-outputs are written atomically (no partial files on interruption).
+key, or the flag: --jobs and --reps must be >= 1, --warmup >= 0); 2 a
+required input artifact does not exist; 3 any other runtime failure.
+Progress and errors go to stderr, stdout stays clean, and all outputs are
+written atomically (no partial files on interruption).
 """
 
 from __future__ import annotations
@@ -62,19 +64,17 @@ def _epoch_progress(model_id, total):
 # stages
 
 
-def stage_split(cfg):
-    train_set, _, _ = pipeline.prepare_data(cfg)
+def stage_split(cfg, data):
+    train_set, _, _ = data
     pipeline.write_split(cfg, train_set)
     mentor_set, student_set = pipeline.resolve_split(cfg, train_set)
-    _log(
-        f"split: {mentor_set.n} mentor / {student_set.n} pool images"
-        f" -> {pipeline.manifest_path(cfg.output_dir)}"
-    )
+    _log(f"split: {mentor_set.n} mentor / {student_set.n} pool images"
+         f" -> {pipeline.manifest_path(cfg.output_dir)}")
 
 
-def stage_train_mentor(cfg):
+def stage_train_mentor(cfg, data):
     """Train and save the mentor; returns its epoch logs."""
-    train_set, test_set, _ = pipeline.prepare_data(cfg)
+    train_set, test_set, _ = data
     mentor_set, _ = pipeline.resolve_split(cfg, train_set)
     stack, logs = pipeline.train_mentor(
         cfg, mentor_set, test_set,
@@ -88,28 +88,27 @@ def stage_train_mentor(cfg):
     return logs
 
 
-def _student_pool(cfg):
-    train_set, test_set, foreign = pipeline.prepare_data(cfg)
+def _student_pool(cfg, data):
+    train_set, test_set, foreign = data
     _, student_set = pipeline.resolve_split(cfg, train_set)
     return pipeline.build_student_pool(cfg, student_set, foreign), test_set
 
 
-def stage_label(cfg):
-    pool, _ = _student_pool(cfg)
+def stage_label(cfg, data):
+    pool, _ = _student_pool(cfg, data)
     mentor = pipeline.load_checkpoint(pipeline.ckpt_path(cfg.output_dir, "mentor"))
     soft = pipeline.generate_soft_labels(mentor, pool.images)
     pipeline.save_soft_labels(soft, pipeline.soft_labels_path(cfg.output_dir))
-    _log(
-        f"label: {soft.rows.shape[0]} soft rows from {soft.mentor_id}"
-        f" -> {pipeline.soft_labels_path(cfg.output_dir)}"
-    )
+    _log(f"label: {soft.rows.shape[0]} soft rows from {soft.mentor_id}"
+         f" -> {pipeline.soft_labels_path(cfg.output_dir)}")
 
 
-def _train_one(cfg, kind, i):
+def _train_one(cfg, kind, i, data=None):
     """Train architecture i of student.archs as a "student" (on the mentor's
     soft labels) or a "baseline" (on the pool's hard labels) and save it;
-    returns its epoch logs."""
-    pool, test_set = _student_pool(cfg)
+    returns its epoch logs. A --jobs worker loads its own data (cheaper than
+    pickling the pool to it)."""
+    pool, test_set = _student_pool(cfg, data or pipeline.prepare_data(cfg))
     model_id = f"{kind}_{model_letter(i)}"
     progress = _epoch_progress(model_id, cfg.student_train.epochs)
     if kind == "student":
@@ -129,11 +128,11 @@ def _train_one(cfg, kind, i):
     return logs
 
 
-def _run_indexed(kind, cfg, jobs):
+def _run_indexed(kind, cfg, data, jobs):
     count = len(cfg.student_archs)
     if jobs <= 1 or count < 2:
         for i in range(count):
-            _train_one(cfg, kind, i)
+            _train_one(cfg, kind, i, data)
         return
     with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
         futures = [pool.submit(_train_one, cfg, kind, i) for i in range(count)]
@@ -141,12 +140,12 @@ def _run_indexed(kind, cfg, jobs):
             fut.result()
 
 
-def stage_train_student(cfg, jobs=1):
-    _run_indexed("student", cfg, jobs)
+def stage_train_student(cfg, data, jobs=1):
+    _run_indexed("student", cfg, data, jobs)
 
 
-def stage_baseline(cfg, jobs=1):
-    _run_indexed("baseline", cfg, jobs)
+def stage_baseline(cfg, data, jobs=1):
+    _run_indexed("baseline", cfg, data, jobs)
 
 
 def _load_models(cfg):
@@ -160,16 +159,13 @@ def _load_models(cfg):
             for m in model_ids]
 
 
-def stage_eval(cfg):
-    _, test_set, _ = pipeline.prepare_data(cfg)
-    models = _load_models(cfg)
-    results = []
-    mentor_acc = None
-    for model_id, stack in models:
+def stage_eval(cfg, data):
+    _, test_set, _ = data
+    results, mentor_acc = [], None
+    for model_id, stack in _load_models(cfg):
         acc, _ = evaluate(stack, test_set)
         if model_id == "mentor":
-            mentor_acc = acc
-            rel = None
+            mentor_acc, rel = acc, None
         else:
             rel = relative_accuracy(acc * 100.0, mentor_acc * 100.0)
         results.append(ModelResult(model_id, stack.arch, acc, rel))
@@ -179,8 +175,8 @@ def stage_eval(cfg):
     _log(f"eval -> {report.summary_csv_path(cfg.output_dir)}")
 
 
-def stage_confusion(cfg):
-    _, test_set, _ = pipeline.prepare_data(cfg)
+def stage_confusion(cfg, data):
+    _, test_set, _ = data
     for model_id, stack in _load_models(cfg):
         matrix = confusion_matrix(stack, test_set)
         path = report.confusion_csv_path(cfg.output_dir, model_id)
@@ -189,25 +185,24 @@ def stage_confusion(cfg):
         _log(f"confusion: {model_id} ({errors} misclassified) -> {path}")
 
 
-def stage_bench(cfg, reps=100, warmup=3):
-    _, test_set, _ = pipeline.prepare_data(cfg)
+def stage_bench(cfg, data, reps=100, warmup=3):
+    _, test_set, _ = data
     benches = []
     for model_id, stack in _load_models(cfg):
         result = bench_inference(stack, test_set, reps=reps, warmup=warmup,
                                  model_id=model_id)
         benches.append(result)
-        _log(
-            f"bench: {model_id} mean={result.mean_s:.4f}s std={result.std_s:.4f}s"
-            f" over {reps} reps"
-        )
+        _log(f"bench: {model_id} mean={result.mean_s:.4f}s std={result.std_s:.4f}s"
+             f" over {reps} reps")
     report.write_bench(benches, report.bench_csv_path(cfg.output_dir))
     _log(f"bench -> {report.bench_csv_path(cfg.output_dir)}")
 
 
-def stage_sweep(cfg):
+def stage_sweep(cfg, data):
     """Per (ratio, seed), the run-all stages up to train-student in
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
-    sweep.csv gets the per-ratio means over seeds."""
+    sweep.csv gets the per-ratio means over seeds. Every run shares data, as
+    prepare_data reads none of the keys a run replaces."""
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
     rows = []
     for ratio in cfg.sweep_ratios:
@@ -221,10 +216,10 @@ def stage_sweep(cfg):
                 mentor_train=replace(cfg.mentor_train, seed=seed),
                 student_train=replace(cfg.student_train, seed=seed),
             )
-            stage_split(run_cfg)
-            mentor_accs.append(stage_train_mentor(run_cfg)[-1].test_accuracy)
-            stage_label(run_cfg)
-            student_accs.append(_train_one(run_cfg, "student", 0)[-1].test_accuracy)
+            stage_split(run_cfg, data)
+            mentor_accs.append(stage_train_mentor(run_cfg, data)[-1].test_accuracy)
+            stage_label(run_cfg, data)
+            student_accs.append(_train_one(run_cfg, "student", 0, data)[-1].test_accuracy)
             _log(
                 f"sweep: ratio={ratio:g} seed={seed}"
                 f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}"
@@ -236,13 +231,13 @@ def stage_sweep(cfg):
     _log(f"sweep -> {report.sweep_csv_path(cfg.output_dir)}")
 
 
-def stage_run_all(cfg, jobs=1):
-    stage_split(cfg)
-    stage_train_mentor(cfg)
-    stage_label(cfg)
-    stage_train_student(cfg, jobs=jobs)
-    stage_eval(cfg)
-    stage_confusion(cfg)
+def stage_run_all(cfg, data, jobs=1):
+    stage_split(cfg, data)
+    stage_train_mentor(cfg, data)
+    stage_label(cfg, data)
+    stage_train_student(cfg, data, jobs=jobs)
+    stage_eval(cfg, data)
+    stage_confusion(cfg, data)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +247,16 @@ def stage_run_all(cfg, jobs=1):
 # function replaced on this module (e.g. by a tracing wrapper) is the one
 # that runs.
 STAGES = {
-    "split": lambda cfg, args: stage_split(cfg),
-    "train-mentor": lambda cfg, args: stage_train_mentor(cfg),
-    "label": lambda cfg, args: stage_label(cfg),
-    "train-student": lambda cfg, args: stage_train_student(cfg, jobs=args.jobs),
-    "baseline": lambda cfg, args: stage_baseline(cfg, jobs=args.jobs),
-    "eval": lambda cfg, args: stage_eval(cfg),
-    "confusion": lambda cfg, args: stage_confusion(cfg),
-    "bench": lambda cfg, args: stage_bench(cfg, reps=args.reps, warmup=args.warmup),
-    "sweep": lambda cfg, args: stage_sweep(cfg),
-    "run-all": lambda cfg, args: stage_run_all(cfg, jobs=args.jobs),
+    "split": lambda cfg, data, args: stage_split(cfg, data),
+    "train-mentor": lambda cfg, data, args: stage_train_mentor(cfg, data),
+    "label": lambda cfg, data, args: stage_label(cfg, data),
+    "train-student": lambda cfg, data, args: stage_train_student(cfg, data, jobs=args.jobs),
+    "baseline": lambda cfg, data, args: stage_baseline(cfg, data, jobs=args.jobs),
+    "eval": lambda cfg, data, args: stage_eval(cfg, data),
+    "confusion": lambda cfg, data, args: stage_confusion(cfg, data),
+    "bench": lambda cfg, data, args: stage_bench(cfg, data, args.reps, args.warmup),
+    "sweep": lambda cfg, data, args: stage_sweep(cfg, data),
+    "run-all": lambda cfg, data, args: stage_run_all(cfg, data, jobs=args.jobs),
 }
 
 
@@ -292,13 +287,16 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, low in (("jobs", 1), ("reps", 1), ("warmup", 0)):
+            if getattr(args, flag, low) < low:
+                parser.error(f"argument --{flag}: must be >= {low}")
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; keep 2 reserved for
         # missing artifacts and report bad invocations as config problems.
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = load_config(args.config, args.override, args.seed)
-        STAGES[args.verb](cfg, args)
+        STAGES[args.verb](cfg, pipeline.prepare_data(cfg), args)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 1

@@ -1,10 +1,12 @@
+import hashlib
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from distillnet.cli import main, stage_train_student
+from distillnet import pipeline
+from distillnet.cli import STAGES, main, stage_run_all, stage_train_student
 from distillnet.config import (
     KNOWN_KEYS,
     SEED_KEYS,
@@ -562,11 +564,66 @@ def test_jobs_workers_train_the_given_config(tmp_path):
     assert run_cli("label", "--config", path) == 0
     cfg = replace(load_config(path), student_archs=["fc(8)-fc-s", "fc(24)-fc-s"])
     ckpts = [os.path.join(out, f"student_{x}.ckpt") for x in "ab"]
-    stage_train_student(cfg, jobs=1)
+    data = pipeline.prepare_data(cfg)
+    stage_train_student(cfg, data, jobs=1)
     sequential = [open(p, "rb").read() for p in ckpts]
     for p in ckpts:
         os.remove(p)
-    stage_train_student(cfg, jobs=2)
+    stage_train_student(cfg, data, jobs=2)
     assert load_checkpoint(ckpts[0]).arch == "fc(8)-fc-s"
     assert load_checkpoint(ckpts[1]).arch == "fc(24)-fc-s"
     assert [open(p, "rb").read() for p in ckpts] == sequential
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--jobs", "0"), ("--jobs", "-3"), ("--reps", "0"), ("--warmup", "-1"),
+])
+def test_cli_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    # checked at parsing, before any data or checkpoint is loaded
+    path, out = write_cfg(tmp_path)
+    verb = "bench" if flag in ("--reps", "--warmup") else "train-student"
+    assert run_cli(verb, "--config", path, flag, value) == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_prepares_the_data_once_per_process(tmp_path, monkeypatch):
+    # every verb loads the dataset once; run-all and sweep hand that one
+    # load to all the stages they run
+    path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.2,0.5\nsweep.seeds=0,1\n")
+    calls = []
+    prepare = pipeline.prepare_data
+    monkeypatch.setattr(pipeline, "prepare_data",
+                        lambda cfg: calls.append(cfg) or prepare(cfg))
+    counts = {}
+    for verb in ["run-all"] + [v for v in STAGES if v != "run-all"]:
+        calls.clear()
+        extra = ["--reps", "1", "--warmup", "0"] if verb == "bench" else []
+        assert run_cli(verb, "--config", path, *extra) == 0, verb
+        counts[verb] = len(calls)
+    assert counts == dict.fromkeys(STAGES, 1)
+
+
+def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
+    # the stages of one run-all share the prepared arrays: none may write to
+    # them, and no stage that builds the student pool may read its labels
+    path, _ = write_cfg(tmp_path, extra=(
+        "perturb.kind=inject\nperturb.ratio_bound=0.3\n"
+        "perturb.foreign_classes=3\nperturb.foreign_per_class=10\n"
+    ))
+    cfg = load_config(path)
+    data = pipeline.prepare_data(cfg)
+
+    def digests():
+        return [hashlib.sha256(arr.tobytes()).hexdigest()
+                for s in data for arr in (s.images, s.labels)]
+
+    before = digests()
+    pools = []
+    build = pipeline.build_student_pool
+    monkeypatch.setattr(pipeline, "build_student_pool",
+                        lambda *args: pools.append(build(*args)) or pools[-1])
+    stage_run_all(cfg, data)
+    assert digests() == before
+    assert len(pools) == 1 + len(cfg.student_archs)  # label, then each student
+    assert [p.label_reads for p in pools] == [0] * len(pools)

@@ -27,7 +27,8 @@ def _run_traced(tmp_path, verb):
         [sys.executable, os.path.join(ROOT, "perfbench", "spans.py"),
          "--out", str(spans_path), "--", verb, "--config", str(cfg),
          "--override", f"output_dir={tmp_path / 'out'}",
-         "--override", "mentor_train.epochs=2"],
+         "--override", "mentor_train.epochs=2",
+         "--override", "student_train.epochs=2"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -40,8 +41,12 @@ def test_span_tracer_runs_split(tmp_path):
 
 def test_span_tracer_wraps_the_layers(tmp_path):
     # the tracer's span labels take exactly Layer.forward(x, train, rng) and
-    # Layer.backward(dy), so a changed layer signature fails the traced verbs
-    _run_traced(tmp_path, "split")
-    names = _run_traced(tmp_path, "train-mentor") | _run_traced(tmp_path, "label")
-    assert {"cli.train-mentor", "cli.label", "layers.c.bwd", "layers.mp.bwd",
-            "layers.c.fwd_eval"} <= names
+    # Layer.backward(dy), so a changed layer signature fails the traced verbs;
+    # every verb the benchmark traces must record its stage span, and eval and
+    # confusion must still reach evaluate and confusion_matrix through cli
+    verbs = ("split", "train-mentor", "label", "train-student", "baseline",
+             "eval", "confusion")
+    names = set().union(*(_run_traced(tmp_path, verb) for verb in verbs))
+    assert {f"cli.{verb}" for verb in verbs} <= names
+    assert {"layers.c.bwd", "layers.mp.bwd", "layers.c.fwd_eval",
+            "evaluation.evaluate", "evaluation.confusion"} <= names
