@@ -6,11 +6,13 @@ channels-last (N, H, W, C). Conv2d unfolds a channels-last padded copy of its
 input into columns in (kernel row, kernel column, channel) order, returns an
 (N, C, H, W) view of its (N*H*W, C) GEMM rows and builds its input gradient
 channels-last too; ReLU and MaxPool2d keep the memory order they are given
-rather than copying to channels-first. Each layer caches what its backward
-pass needs only when the stack is in train mode; eval-mode forwards leave no
-state behind. A stack clears ``input_grad`` on its first layer, whose input
-gradient nothing reads, so a leading conv or fc computes only its parameter
-gradients.
+rather than copying to channels-first. An eval-mode conv holds at most
+``_COL_BYTES`` of columns at a time, unfolding and multiplying a run of whole
+images per step; a train-mode conv unfolds the whole batch at once. Each
+layer caches what its backward pass needs only when the stack is in train
+mode; eval-mode forwards leave no state behind. A stack clears
+``input_grad`` on its first layer, whose input gradient nothing reads, so a
+leading conv or fc computes only its parameter gradients.
 """
 
 from __future__ import annotations
@@ -63,22 +65,24 @@ class Layer:
         return self.cache
 
 
+# Most column bytes an eval-mode Conv2d.forward holds at once.
+_COL_BYTES = 32 << 20
+
+
 def _im2col(x, k, pad):
     """Unfold k*k patches of an (N, C, H, W) array, zero-padded by pad, into rows.
 
-    Returns (cols, oh, ow) where cols has shape (N*oh*ow, k*k*C), row
-    (n*oh*ow + i*ow + j) holds the patch producing output pixel (i, j), and
-    column (u*k*C + v*C + c) holds input channel c at kernel offset (u, v).
-    The patches are gathered from a channels-last padded copy, so each run
-    copied is C contiguous values; the copy is freed on return.
+    Returns cols of shape (N*oh*ow, k*k*C): row (n*oh*ow + i*ow + j) holds
+    the patch producing output pixel (i, j), and column (u*k*C + v*C + c)
+    holds input channel c at kernel offset (u, v). The patches are gathered
+    from a channels-last padded copy, so each run copied is C contiguous
+    values; the copy is freed on return.
     """
     n, c, h, w = x.shape
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
-    oh = h + 2 * pad - k + 1
-    ow = w + 2 * pad - k + 1
     win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (n, oh, ow, c, k, k)
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, k * k * c), oh, ow
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * c)
 
 
 class Conv2d(Layer):
@@ -93,6 +97,13 @@ class Conv2d(Layer):
     first (with one input channel, or k = 1, the two orders coincide). Reruns
     stay byte-identical. No backward sum runs along the column axis, so the
     gradients equal the channel-first formulation's bit for bit.
+
+    Train mode unfolds the whole batch into one (N*oh*ow, k*k*in) column
+    matrix, which backward reads. Eval mode splits the batch into equal runs
+    of whole images, each with at most ``_COL_BYTES`` of columns (one image
+    per run if a single image's columns exceed it), and multiplies each run
+    into its rows of one preallocated output, so it holds one run's columns
+    at a time. Its output bytes equal those of an unsplit forward.
     """
 
     kind = "c"
@@ -114,13 +125,27 @@ class Conv2d(Layer):
         return self.params["weight"].transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
 
     def forward(self, x, train, rng):
-        cols, oh, ow = _im2col(x, self.kernel, self.pad)
-        y = cols @ self._weight_rows().T
-        y += self.params["bias"]
-        y = y.reshape(x.shape[0], oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        if train:
-            self.cache = (cols, x.shape, oh, ow)
-        return y
+        n, c, h, w = x.shape
+        k, p = self.kernel, self.pad
+        oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
+        chunk = max(1, _COL_BYTES // (oh * ow * k * k * c * 8))  # float64 columns
+        # Equal runs, not full chunks plus a remainder: each run then holds at
+        # least a quarter of _COL_BYTES, so its GEMM stays far above the sizes
+        # where a BLAS may switch to a small-matrix kernel that sums in
+        # another order, and every output row keeps the unsplit GEMM's bits.
+        parts = 1 if train else max(1, -(-n // chunk))
+        ends = [i * n // parts for i in range(parts + 1)]
+        w_rows = self._weight_rows().T
+        y = np.empty((n * oh * ow, self.out_channels))
+        for s, e in zip(ends, ends[1:]):
+            cols = _im2col(x[s:e], k, p)
+            rows = y[s * oh * ow : e * oh * ow]
+            np.matmul(cols, w_rows, out=rows)
+            rows += self.params["bias"]
+            if train:
+                self.cache = (cols, x.shape, oh, ow)
+            del cols  # before the next run's columns are built
+        return y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dy):
         cols, x_shape, oh, ow = self._need_cache()

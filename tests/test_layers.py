@@ -1,18 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from distillnet.errors import ShapeError, StateError
 from distillnet.layers import (
+    _COL_BYTES,
     BatchNorm,
     Conv2d,
     Dropout,
     FullyConnected,
     MaxPool2d,
     ReLU,
+    _im2col,
     softmax,
 )
+from distillnet.network import parse_arch
 
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -278,6 +282,9 @@ _CONV_CASES = {
     "k5": ((2, 2, 7, 7), 3, 5, False),
     "batch1": ((1, 3, 6, 5), 4, 3, True),
     "one_channel_k3": ((3, 1, 6, 7), 4, 3, False),
+    # 15 x 1024 x 288 float64 columns, past _COL_BYTES: train mode still
+    # unfolds the whole batch
+    "over_cap_k3": ((15, 32, 32, 32), 4, 3, True),
 }
 
 
@@ -309,6 +316,7 @@ def test_conv_forward_matches_channel_major_reference(case):
 def test_conv_backward_matches_oracle_bytes(case):
     conv, x, rng = _conv_case(case)
     y = conv.forward(x, True, rng)
+    assert len(conv.cache[0]) == y.size // conv.out_channels  # every output pixel
     # upstream ReLU backward: dy * mask turns masked negatives into -0.0
     dy = rng.normal(size=y.shape) * (rng.random(y.shape) < 0.6)
     if _CONV_CASES[case][3]:
@@ -320,6 +328,73 @@ def test_conv_backward_matches_oracle_bytes(case):
     _assert_same_bytes(got_dx, want_dx)
     _assert_same_bytes(conv.grads["weight"], want_dw)
     _assert_same_bytes(conv.grads["bias"], want_db)
+
+
+def test_over_cap_case_exceeds_the_column_cap():
+    shape, _, k, _ = _CONV_CASES["over_cap_k3"]
+    n, c, h, w = shape
+    assert n * h * w * k * k * c * 8 > _COL_BYTES
+
+
+def _one_shot_conv(conv, x):
+    """The whole batch's columns in one GEMM: an unchunked Conv2d.forward."""
+    n, _, h, w = x.shape
+    k, p = conv.kernel, conv.pad
+    oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
+    y = _im2col(x, k, p) @ conv._weight_rows().T + conv.params["bias"]
+    return y.reshape(n, oh, ow, conv.out_channels).transpose(0, 3, 1, 2)
+
+
+_CHUNK_CASES = {
+    # name: (x shape, out channels, kernel, x is channels-last); chunk is the
+    # number of images whose float64 columns fit in _COL_BYTES
+    "below_one_chunk": ((5, 32, 32, 32), 32, 3, True),  # chunk 14: one run
+    "uneven_runs": ((33, 32, 32, 32), 32, 3, True),  # chunk 14: runs of 11
+    # chunk 56: runs of 28 and 29, never a lone image, whose 256 x 4 GEMM
+    # may take a BLAS small-matrix kernel that sums in another order
+    "one_past_chunk": ((57, 32, 16, 16), 4, 3, True),
+    "image_over_cap": ((2, 32, 128, 128), 4, 3, True),  # chunk 1
+    "k1": ((70, 256, 16, 16), 8, 1, True),  # chunk 64: runs of 35
+    "k5": ((12, 8, 64, 64), 8, 5, False),  # chunk 5: runs of 4
+    "one_channel": ((40, 1, 128, 128), 8, 3, False),  # chunk 28: runs of 20
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHUNK_CASES))
+def test_conv_eval_chunks_match_one_shot_gemm_bytes(case):
+    shape, cout, k, channels_last = _CHUNK_CASES[case]
+    rng = np.random.default_rng(sorted(_CHUNK_CASES).index(case))
+    conv = Conv2d(shape[1], cout, k, rng)
+    conv.params["bias"] = rng.normal(size=cout)
+    x = rng.normal(size=shape)
+    if channels_last:
+        x = _channels_last(x)
+    got = conv.forward(x, False, rng)
+    _assert_same_bytes(got, _one_shot_conv(conv, x))
+    assert got.transpose(0, 2, 3, 1).flags.c_contiguous  # channels-last rows
+
+
+def test_conv_eval_memory_is_bounded():
+    # one-shot columns of this forward are 256 x 1024 x 288 float64 (604 MB)
+    rng = np.random.default_rng(0)
+    conv = Conv2d(32, 32, 3, rng)
+    x = rng.normal(size=(256, 32, 32, 32))
+    tracemalloc.start()
+    try:
+        conv.forward(x, False, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 << 20, f"eval conv forward peaked at {peak / 2**20:.0f} MB"
+
+
+def test_stack_predict_matches_train_forward_bytes():
+    # every conv after the first splits these 300 images into several runs
+    stack = parse_arch("c^2-mp-c^2-mp-c^2-mp-fc^2-s", (3, 16, 16), 10, seed=3)
+    x = np.random.default_rng(4).normal(size=(300, 3, 16, 16))
+    want = stack.predict(x, batch_size=300)
+    stack.set_mode("train")
+    _assert_same_bytes(stack.forward(x), want)
 
 
 def test_fc_forward_matches_matmul_and_flattens():
