@@ -1,8 +1,8 @@
 """Dataset loading: IDX files, CIFAR binary batches, synthetic blobs.
 
-All loaders return a LabeledImageSet with float64 images scaled to [0, 1]
-(divide by 255; nothing else) and int64 labels. Loading is pure: the same
-bytes always produce the same arrays.
+All loaders return a LabeledImageSet with images scaled to [0, 1] (divide
+by 255; nothing else) and int64 labels. LabeledImageSet alone gives images
+their dtype, float64. Loading is pure: the same bytes, the same arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ CIFAR_PIXELS = 3072  # 1024 R + 1024 G + 1024 B bytes, row-major planes
 
 
 class LabeledImageSet:
-    """Images (N, C, H, W) float64 plus integer labels.
+    """Images (N, C, H, W), held as float64, plus integer labels.
 
     Labels are 0..num_classes-1; the sentinel -1 marks injected
     out-of-domain rows and is excluded from class_counts. Reads of the
@@ -28,7 +28,7 @@ class LabeledImageSet:
     """
 
     def __init__(self, images, labels, num_classes=None):
-        images = np.asarray(images, dtype=np.float64)
+        images = np.asarray(images, dtype=np.float64)  # wide: the reference precision
         labels = np.asarray(labels, dtype=np.int64)
         if images.ndim != 4:
             raise ValidationError(f"images must be (N, C, H, W), got shape {images.shape}")
@@ -123,7 +123,7 @@ def load_idx(images_path, labels_path, num_classes=None):
     if len(payload) != label_count:
         raise FormatError(f"{labels_path}: truncated label payload")
     labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-    return LabeledImageSet(images.astype(np.float64) / 255.0, labels, num_classes)
+    return LabeledImageSet(images / 255.0, labels, num_classes)
 
 
 def load_cifar(paths, num_classes=10):
@@ -155,7 +155,7 @@ def load_cifar(paths, num_classes=10):
             )
         all_images.append(rows[:, -CIFAR_PIXELS:].reshape(-1, 3, 32, 32))
         all_labels.append(labels.astype(np.int64))
-    images = np.concatenate(all_images).astype(np.float64) / 255.0
+    images = np.concatenate(all_images) / 255.0
     return LabeledImageSet(images, np.concatenate(all_labels), num_classes)
 
 

@@ -1,18 +1,20 @@
 """Layer vocabulary: conv, max-pool, fully-connected, batchnorm, dropout, relu, softmax.
 
-All arithmetic is float64. Activations keep the (N, C, H, W) shape until a
-fully-connected layer flattens them to (N, features), but their memory may be
-channels-last (N, H, W, C). Conv2d unfolds a channels-last padded copy of its
-input into columns in (kernel row, kernel column, channel) order, returns an
-(N, C, H, W) view of its (N*H*W, C) GEMM rows and builds its input gradient
-channels-last too; ReLU and MaxPool2d keep the memory order they are given
-rather than copying to channels-first. An eval-mode conv holds at most
-``_COL_BYTES`` of columns at a time, unfolding and multiplying a run of whole
-images per step; a train-mode conv unfolds the whole batch at once. Each
-layer caches what its backward pass needs only when the stack is in train
-mode; eval-mode forwards leave no state behind. A stack clears
-``input_grad`` on its first layer, whose input gradient nothing reads, so a
-leading conv or fc computes only its parameter gradients.
+Each layer computes, allocates and views in its input's dtype, never casts
+and widens no sum; ``LayerStack`` decides the dtype. Activations keep the
+(N, C, H, W) shape until a fully-connected layer flattens them to
+(N, features), but their memory may be channels-last (N, H, W, C). Conv2d
+unfolds a channels-last padded copy of its input into columns in (kernel row,
+kernel column, channel) order, returns an (N, C, H, W) view of its
+(N*H*W, C) GEMM rows and builds its input gradient channels-last too; ReLU
+and MaxPool2d keep the memory order they are given rather than copying to
+channels-first. An eval-mode conv holds at most ``_COL_BYTES`` of columns at
+a time, unfolding and multiplying a run of whole images per step; a
+train-mode conv unfolds the whole batch at once. Each layer caches what its
+backward pass needs only when the stack is in train mode; eval-mode forwards
+leave no state behind. A stack clears ``input_grad`` on its first layer,
+whose input gradient nothing reads, so a leading conv or fc computes only
+its parameter gradients.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import ShapeError, StateError
 
 def softmax(logits):
     """Row-wise softmax of a (N, K) array, shifted by the row max for stability."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.asarray(logits)
     if z.ndim != 2:
         raise ShapeError(f"softmax expects a 2-d array, got shape {z.shape}")
     e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -79,7 +81,7 @@ def _im2col(x, k, pad):
     values; the copy is freed on return.
     """
     n, c, h, w = x.shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
     win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (n, oh, ow, c, k, k)
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * c)
@@ -103,7 +105,8 @@ class Conv2d(Layer):
     of whole images, each with at most ``_COL_BYTES`` of columns (one image
     per run if a single image's columns exceed it), and multiplies each run
     into its rows of one preallocated output, so it holds one run's columns
-    at a time. Its output bytes equal those of an unsplit forward.
+    at a time. Its output bytes equal those of an unsplit forward. Every
+    buffer takes its operands' dtype; the cap counts bytes at x's itemsize.
     """
 
     kind = "c"
@@ -128,7 +131,7 @@ class Conv2d(Layer):
         n, c, h, w = x.shape
         k, p = self.kernel, self.pad
         oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
-        chunk = max(1, _COL_BYTES // (oh * ow * k * k * c * 8))  # float64 columns
+        chunk = max(1, _COL_BYTES // (oh * ow * k * k * c * x.itemsize))
         # Equal runs, not full chunks plus a remainder: each run then holds at
         # least a quarter of _COL_BYTES, so its GEMM stays far above the sizes
         # where a BLAS may switch to a small-matrix kernel that sums in
@@ -136,7 +139,7 @@ class Conv2d(Layer):
         parts = 1 if train else max(1, -(-n // chunk))
         ends = [i * n // parts for i in range(parts + 1)]
         w_rows = self._weight_rows().T
-        y = np.empty((n * oh * ow, self.out_channels))
+        y = np.empty((n * oh * ow, self.out_channels), dtype=np.result_type(x, w_rows))
         for s, e in zip(ends, ends[1:]):
             cols = _im2col(x[s:e], k, p)
             rows = y[s * oh * ow : e * oh * ow]
@@ -166,7 +169,7 @@ class Conv2d(Layer):
         # instead of an index-based col2im. The buffer is channels-last like
         # the column rows, and the returned (N, C, H, W) view keeps that order.
         dcols = (dy_mat @ self._weight_rows()).reshape(n, oh, ow, k, k, c)
-        dxp = np.zeros((n, h + 2 * p, w_in + 2 * p, c))
+        dxp = np.zeros((n, h + 2 * p, w_in + 2 * p, c), dtype=dcols.dtype)
         for u in range(k):
             for v in range(k):
                 dxp[:, u : u + oh, v : v + ow] += dcols[:, :, :, u, v]
@@ -181,7 +184,8 @@ class MaxPool2d(Layer):
     offset (u, v) in row-major order. Train mode records, per output, the
     index of the first slab that holds the max, so backward routes every
     output gradient to exactly one input pixel (ties break to the first
-    position in row-major window order).
+    position in row-major window order). Backward builds dx in dy's dtype,
+    copying dy's bits through the unsigned integer type of the same width.
     """
 
     kind = "mp"
@@ -232,13 +236,13 @@ class MaxPool2d(Layer):
     def backward(self, dy):
         idx, x_shape = self._need_cache()
         # idx has the input's memory order, so dx gets it too
-        dx = np.zeros_like(idx, dtype=np.float64, shape=x_shape)
+        dx = np.zeros_like(idx, dtype=dy.dtype, shape=x_shape)
         # Select on the bit patterns: dy's bits times 1 or 0 give dy or +0.0
         # exactly, and run far faster than a masked copy.
-        bits = dy.view(np.uint64)
+        bits = dy.view(f"u{dy.itemsize}")
         hit = np.empty_like(idx, dtype=bool)
         for k, slab in enumerate(self._slabs(dx)):
-            np.multiply(bits, np.equal(idx, k, out=hit), out=slab.view(np.uint64))
+            np.multiply(bits, np.equal(idx, k, out=hit), out=slab.view(bits.dtype))
         self.cache = None
         return dx
 

@@ -49,7 +49,7 @@ class Token:
 
 
 def _fmt_num(a):
-    return str(a) if isinstance(a, int) else format(a, "g")
+    return str(a) if isinstance(a, int) else np.format_float_positional(a, trim="-")
 
 
 def _fmt_token(tok):
@@ -277,19 +277,24 @@ class LayerStack:
         self.arch = render_tokens(tokens)
         self.mode = "train"
         self.rng = np.random.default_rng(0)
-        self._probs = None
-        self._ready = False
+        self._probs = None  # the last train-mode output, until backward reads it
 
     def set_mode(self, mode):
         if mode not in ("train", "eval"):
             raise ValidationError(f"unknown stack mode {mode!r}")
         self.mode = mode
         if mode == "eval":
-            self._ready = False
+            self._probs = None
+
+    @property
+    def dtype(self):
+        """The parameters' dtype (float64, from He init): ``forward`` casts the
+        images and ``backward`` the targets to it, the engine's only casts."""
+        return np.result_type(*self.parameters(), 1.0)  # float64 if none
 
     def forward(self, x):
         """Run the stack; returns (N, num_classes) class probabilities."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"expected batch of shape (N, {', '.join(map(str, self.input_shape))}), "
@@ -302,7 +307,6 @@ class LayerStack:
             x = layer.forward(x, train, self.rng)
         if train:
             self._probs = x
-            self._ready = True
         return x
 
     def predict(self, images, batch_size=256):
@@ -328,9 +332,9 @@ class LayerStack:
         propagates it through the remaining layers in reverse. Returns one
         gradient array per parameter, aligned with ``parameters()``.
         """
-        if self.mode != "train" or not self._ready:
+        if self.mode != "train" or self._probs is None:
             raise StateError("backward requires a preceding train-mode forward")
-        targets = np.asarray(targets, dtype=np.float64)
+        targets = np.asarray(targets, dtype=self.dtype)
         if targets.shape != self._probs.shape:
             raise ShapeError(
                 f"targets shape {targets.shape} does not match output "
@@ -339,7 +343,7 @@ class LayerStack:
         grad = (self._probs - targets) / targets.shape[0]
         for layer in reversed(self.layers[:-1]):
             grad = layer.backward(grad)
-        self._ready = False
+        self._probs = None
         return self.gradients()
 
     def parameters(self):

@@ -96,6 +96,8 @@ class SoftLabelSet:
 
 def image_payload_checksum(images):
     """Unsigned 64-bit digest of an image array's raw bytes."""
+    # wide: the digest is defined over the float64 payload, so label files
+    # agree whatever dtype the images are held in (the cast is exact)
     arr = np.ascontiguousarray(np.asarray(images, dtype=np.float64))
     digest = hashlib.blake2b(arr.data, digest_size=8)
     return int.from_bytes(digest.digest(), "little")
@@ -103,7 +105,6 @@ def image_payload_checksum(images):
 
 def generate_soft_labels(mentor, images, batch_size=256):
     """Run the mentor in eval mode over a pool; returns its softmax rows as-is."""
-    images = np.asarray(images, dtype=np.float64)
     rows = mentor.predict(images, batch_size)
     return SoftLabelSet(rows, image_payload_checksum(images), mentor.arch)
 
@@ -113,10 +114,20 @@ def generate_soft_labels(mentor, images, batch_size=256):
 
 
 class _Cursor:
-    def __init__(self, buf, path):
-        self.buf = buf
+    """Reads an artifact file, past its magic and format version."""
+
+    def __init__(self, path, magic, what):
+        if not os.path.exists(path):
+            raise MissingArtifactError(f"{what} not found: {path}")
+        with open(path, "rb") as f:
+            self.buf = f.read()
         self.path = path
         self.pos = 0
+        if self.take(4) != magic:
+            raise FormatError(f"{path}: not a {what} (bad magic)")
+        (version,) = self.unpack("<I")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported {what} version {version}")
 
     def take(self, n):
         if self.pos + n > len(self.buf):
@@ -153,15 +164,7 @@ def save_checkpoint(stack, path):
 
 def load_checkpoint(path):
     """Rebuild a stack from a checkpoint; returned stack is in eval mode."""
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"checkpoint not found: {path}")
-    with open(path, "rb") as f:
-        cur = _Cursor(f.read(), path)
-    if cur.take(4) != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = cur.unpack("<I")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    cur = _Cursor(path, CHECKPOINT_MAGIC, "checkpoint")
     (arch_len,) = cur.unpack("<I")
     try:
         arch = cur.take(arch_len).decode("ascii")
@@ -182,7 +185,7 @@ def load_checkpoint(path):
                 f"{path}: tensor {name} has dims {dims}, arch implies {arr.shape}"
             )
         data = np.frombuffer(cur.take(arr.size * 4), dtype="<f4")
-        arr[...] = data.astype(np.float64).reshape(arr.shape)
+        arr[...] = data.reshape(arr.shape)
     cur.done()
     stack.set_mode("eval")
     return stack
@@ -203,15 +206,7 @@ def save_soft_labels(soft, path):
 
 
 def load_soft_labels(path):
-    if not os.path.exists(path):
-        raise MissingArtifactError(f"soft-label file not found: {path}")
-    with open(path, "rb") as f:
-        cur = _Cursor(f.read(), path)
-    if cur.take(4) != SOFT_LABEL_MAGIC:
-        raise FormatError(f"{path}: not a soft-label file (bad magic)")
-    (version,) = cur.unpack("<I")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported soft-label version {version}")
+    cur = _Cursor(path, SOFT_LABEL_MAGIC, "soft-label file")
     n, k = cur.unpack("<II")
     (checksum,) = cur.unpack("<Q")
     (id_len,) = cur.unpack("<I")
@@ -221,7 +216,7 @@ def load_soft_labels(path):
         raise FormatError(f"{path}: mentor id is not ASCII") from exc
     rows = np.frombuffer(cur.take(n * k * 4), dtype="<f4")
     cur.done()
-    rows = rows.astype(np.float64).reshape(n, k)
+    rows = rows.astype(np.float64).reshape(n, k)  # wide: for the sum check
     invalid = invalid_distribution_row(rows)
     if invalid:
         raise FormatError(f"{path}: soft-label {invalid}")
@@ -302,7 +297,6 @@ def train_student(train_cfg, images, soft, arch, test_set, progress=None):
     Takes images and a SoftLabelSet - no label argument exists. The soft
     rows must carry the checksum of exactly these images.
     """
-    images = np.asarray(images, dtype=np.float64)
     if soft.rows.ndim != 2 or soft.rows.shape[0] != images.shape[0]:
         raise ShapeError(
             f"{soft.rows.shape[0]} soft rows for {images.shape[0]} images"

@@ -58,7 +58,7 @@ def invalid_distribution_row(rows):
     makes the row minimum fail the sign test and +inf fails the sum, so
     every accepted row is finite.
     """
-    sums = rows.sum(axis=1)
+    sums = rows.sum(axis=1, dtype=np.float64)  # wide: checked to 1e-6
     # written so that NaN entries and sums fail the test too
     ok = (rows.min(axis=1) >= 0) & (np.abs(sums - 1.0) <= 1e-6)
     if ok.all():
@@ -76,7 +76,7 @@ def cross_entropy(pred, target):
     exactly 0 contribute nothing even if the matching pred entry underflowed
     to 0.
     """
-    pred = np.asarray(pred, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)  # wide: the loss sums the whole batch
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim != 2 or pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} and target {target.shape} must be equal 2-d shapes")
@@ -124,8 +124,6 @@ def train(stack, images, targets, test_set, cfg, progress=None):
     the stack is left in eval mode. Same config + same data => identical
     parameters and logs (wall time aside).
     """
-    images = np.asarray(images, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     n = images.shape[0]
     if n == 0:
         raise ValidationError("empty training set")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distillnet.errors import ParseError, ShapeError, StateError, ValidationError
 from distillnet.network import Token, parse_arch, parse_tokens, render_tokens
@@ -87,12 +89,48 @@ def test_render_parse_round_trip():
         "fc-s",
         "c-relu-mp-fc-s",
         "c(3,8)^3-mp-fc(32)^2-fc-s",
+        # floats that a 6-significant-digit rendering breaks
+        "fc-d(0.00001)-fc-s",
+        "fc-d(0.999999999)-fc-s",
+        "fc-d(0.1234567)-fc-s",
     ):
         toks = parse_tokens(spec)
         rendered = render_tokens(toks)
         assert parse_tokens(rendered) == toks
         # rendering is a fixed point
         assert render_tokens(parse_tokens(rendered)) == rendered
+
+
+def _units(body):
+    """One spec unit: an atom or a parenthesised body, maybe with ^n."""
+    small = st.integers(1, 64).map(str)
+    prob = st.from_regex(r"0?\.[0-9]{1,17}|0\.?", fullmatch=True)
+    atom = st.one_of(
+        st.tuples(small, st.sampled_from(["", ",8"])).map(lambda a: f"c({a[0]}{a[1]})"),
+        st.sampled_from(["c", "mp", "fc", "bn", "d", "relu"]),
+        small.map(lambda a: f"mp({a})"),
+        small.map(lambda a: f"fc({a})"),
+        prob.map(lambda a: f"d({a})"),
+    )
+    unit = atom | body.map(lambda b: f"({b})")
+    power = st.sampled_from(["", "^1", "^2", "^3"])
+    return st.tuples(unit, power).map("".join)
+
+
+_SPEC_BODY = st.recursive(
+    _units(st.nothing()),
+    lambda body: st.lists(_units(body), min_size=1, max_size=4).map("-".join),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_SPEC_BODY.map(lambda body: f"{body}-s"))
+def test_render_parse_round_trip_property(spec):
+    toks = parse_tokens(spec)
+    rendered = render_tokens(toks)
+    assert parse_tokens(rendered) == toks
+    assert render_tokens(parse_tokens(rendered)) == rendered
 
 
 def test_render_collapses_runs():

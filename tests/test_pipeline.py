@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import os
 import struct
@@ -42,19 +43,22 @@ def trained_stack(arch="c(3,2)-mp-fc(8)-bn-fc-s", seed=0):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    stack, test_set = trained_stack()
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(stack, path)
-    loaded = load_checkpoint(path)
-    assert loaded.arch == stack.arch
-    assert loaded.input_shape == stack.input_shape
-    assert loaded.num_classes == stack.num_classes
-    assert loaded.mode == "eval"
-    # float32 storage: agreement to ~1e-5 on outputs
-    a = stack.forward(test_set.images)
-    b = loaded.forward(test_set.images)
-    assert np.max(np.abs(a - b)) < 1e-5
-    assert a.argmax(axis=1).tolist() == b.argmax(axis=1).tolist()
+    # fc-d(0.00001)-fc-s: a float arg that once rendered as d(1e-05), which
+    # the parser rejects, so the checkpoint saved but did not load
+    for arch in ("c(3,2)-mp-fc(8)-bn-fc-s", "fc-d(0.00001)-fc-s"):
+        stack, test_set = trained_stack(arch)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(stack, path)
+        loaded = load_checkpoint(path)
+        assert loaded.arch == stack.arch
+        assert loaded.input_shape == stack.input_shape
+        assert loaded.num_classes == stack.num_classes
+        assert loaded.mode == "eval"
+        # float32 storage: agreement to ~1e-5 on outputs
+        a = stack.forward(test_set.images)
+        b = loaded.forward(test_set.images)
+        assert np.max(np.abs(a - b)) < 1e-5
+        assert a.argmax(axis=1).tolist() == b.argmax(axis=1).tolist()
 
 
 def test_checkpoint_preserves_batchnorm_running_stats(tmp_path):
@@ -98,9 +102,10 @@ def test_checkpoint_corruption_detected(tmp_path):
     with pytest.raises(FormatError):
         load_checkpoint(bad)
 
-    open(bad, "wb").write(raw[:-5])  # truncated payload
-    with pytest.raises(FormatError):
-        load_checkpoint(bad)
+    for end in range(len(raw)):  # every truncation, header and payload
+        open(bad, "wb").write(raw[:end])
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
 
     open(bad, "wb").write(raw + b"\x00\x00")  # trailing bytes
     with pytest.raises(FormatError):
@@ -182,9 +187,10 @@ def test_soft_labels_corruption_detected(tmp_path):
     open(bad, "wb").write(b"NOPE" + raw[4:])
     with pytest.raises(FormatError):
         load_soft_labels(bad)
-    open(bad, "wb").write(raw[:-3])
-    with pytest.raises(FormatError):
-        load_soft_labels(bad)
+    for end in range(len(raw)):  # every truncation, header and payload
+        open(bad, "wb").write(raw[:end])
+        with pytest.raises(FormatError):
+            load_soft_labels(bad)
     open(bad, "wb").write(raw + b"!")
     with pytest.raises(FormatError):
         load_soft_labels(bad)
@@ -210,6 +216,16 @@ def test_image_payload_checksum_sensitivity():
     bumped[0, 0, 0, 0] += 1e-12
     assert image_payload_checksum(bumped) != base
     assert 0 <= base < 2**64
+
+
+def test_image_payload_checksum_is_defined_over_float64():
+    # float32 images digest as their exact float64 cast, so label files
+    # agree whatever dtype the pool is held in
+    imgs32 = gen_synthetic(2, 5, (1, 4, 4), 0, 0.5).images.astype(np.float32)
+    wide = imgs32.astype(np.float64)
+    assert image_payload_checksum(imgs32) == image_payload_checksum(wide)
+    digest = hashlib.blake2b(wide.astype("<f8").tobytes(), digest_size=8).digest()
+    assert image_payload_checksum(imgs32) == int.from_bytes(digest, "little")
 
 
 # ---------------------------------------------------------------------------
