@@ -37,7 +37,6 @@ from .pipeline import (
     save_checkpoint,
     save_soft_labels,
     train_baseline,
-    train_mentor,
     train_student,
 )
 from .report import ModelResult
@@ -103,7 +102,6 @@ __all__ = [
     "split_indices",
     "train",
     "train_baseline",
-    "train_mentor",
     "train_student",
     "__version__",
 ]

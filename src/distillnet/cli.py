@@ -2,8 +2,8 @@
 
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
 edits and a ``--seed`` shorthand that rewrites every ``*.seed`` key), loads
-the dataset once for all the stages it runs (``--jobs`` workers load their
-own) and talks to the other verbs only through files under ``output_dir``:
+the dataset once for all the stages it runs (``--jobs`` workers inherit it)
+and talks to the other verbs only through files under ``output_dir``:
 
   split          -> split_manifest.csv (always recomputed)
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
@@ -39,25 +39,12 @@ from . import pipeline, report
 from .config import load_config
 from .errors import ConfigError, DistillError, MissingArtifactError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
-from .pipeline import model_letter
 from .report import ModelResult
 from .splitting import SplitConfig
 
 
 def _log(msg):
     print(msg, file=sys.stderr, flush=True)
-
-
-def _epoch_progress(model_id, total):
-    def cb(log):
-        _log(
-            f"[{model_id}] epoch {log.epoch}/{total}"
-            f" train_loss={log.train_loss:.4f}"
-            f" test_loss={log.test_loss:.4f}"
-            f" test_acc={log.test_accuracy:.4f}"
-        )
-
-    return cb
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +59,32 @@ def stage_split(cfg, data):
          f" -> {pipeline.manifest_path(cfg.output_dir)}")
 
 
+def _train_and_save(cfg, model_id, arch, inputs=None):
+    """Train arch as model_id by trainer(train_cfg, *head, arch, test_set,
+    progress), inputs being (trainer, train_cfg, head, test_set) - a --jobs
+    worker's own when None; save its checkpoint and epoch CSV."""
+    trainer, train_cfg, head, test_set = inputs or _worker_inputs
+
+    def progress(log):
+        _log(f"[{model_id}] epoch {log.epoch}/{train_cfg.epochs}"
+             f" train_loss={log.train_loss:.4f} test_loss={log.test_loss:.4f}"
+             f" test_acc={log.test_accuracy:.4f}")
+
+    stack, logs = trainer(train_cfg, *head, arch, test_set, progress)
+    pipeline.save_checkpoint(stack, pipeline.ckpt_path(cfg.output_dir, model_id))
+    report.write_epochs(logs, report.epochs_csv_path(cfg.output_dir, model_id),
+                        cfg.zero_wall_time)
+    tag = "train-mentor" if model_id == "mentor" else model_id
+    _log(f"{tag}: final test accuracy {logs[-1].test_accuracy:.4f}")
+    return logs
+
+
 def stage_train_mentor(cfg, data):
-    """Train and save the mentor; returns its epoch logs."""
+    """Train the mentor on its split's hard labels; returns its epoch logs."""
     train_set, test_set, _ = data
     mentor_set, _ = pipeline.resolve_split(cfg, train_set)
-    stack, logs = pipeline.train_mentor(
-        cfg, mentor_set, test_set,
-        progress=_epoch_progress("mentor", cfg.mentor_train.epochs),
-    )
-    pipeline.save_checkpoint(stack, pipeline.ckpt_path(cfg.output_dir, "mentor"))
-    report.write_epochs(
-        logs, report.epochs_csv_path(cfg.output_dir, "mentor"), cfg.zero_wall_time
-    )
-    _log(f"train-mentor: final test accuracy {logs[-1].test_accuracy:.4f}")
-    return logs
+    inputs = (pipeline.train_baseline, cfg.mentor_train, (mentor_set,), test_set)
+    return _train_and_save(cfg, "mentor", cfg.mentor_arch, inputs)
 
 
 def _student_pool(cfg, data):
@@ -103,60 +102,53 @@ def stage_label(cfg, data):
          f" -> {pipeline.soft_labels_path(cfg.output_dir)}")
 
 
-def _train_one(cfg, kind, i, data=None):
-    """Train architecture i of student.archs as a "student" (on the mentor's
-    soft labels) or a "baseline" (on the pool's hard labels) and save it;
-    returns its epoch logs. A --jobs worker loads its own data (cheaper than
-    pickling the pool to it)."""
-    pool, test_set = _student_pool(cfg, data or pipeline.prepare_data(cfg))
-    model_id = f"{kind}_{model_letter(i)}"
-    progress = _epoch_progress(model_id, cfg.student_train.epochs)
-    if kind == "student":
-        soft = pipeline.load_soft_labels(pipeline.soft_labels_path(cfg.output_dir))
-        stack, logs = pipeline.train_student(
-            cfg.student_train, pool.images, soft, cfg.student_archs[i], test_set, progress
-        )
-    else:
-        stack, logs = pipeline.train_baseline(
-            cfg.student_train, pool, cfg.student_archs[i], test_set, progress
-        )
-    pipeline.save_checkpoint(stack, pipeline.ckpt_path(cfg.output_dir, model_id))
-    report.write_epochs(
-        logs, report.epochs_csv_path(cfg.output_dir, model_id), cfg.zero_wall_time
-    )
-    _log(f"{model_id}: final test accuracy {logs[-1].test_accuracy:.4f}")
-    return logs
+def _arch_ids(kind, cfg):
+    """Model ids of the student.archs entries: <kind>_a ... <kind>_z, <kind>_27, ..."""
+    return [f"{kind}_{chr(ord('a') + i) if i < 26 else i + 1}"
+            for i in range(len(cfg.student_archs))]
 
 
-def _run_indexed(kind, cfg, data, jobs):
-    count = len(cfg.student_archs)
-    if jobs <= 1 or count < 2:
-        for i in range(count):
-            _train_one(cfg, kind, i, data)
-        return
-    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
-        futures = [pool.submit(_train_one, cfg, kind, i) for i in range(count)]
-        for fut in futures:
-            fut.result()
+_worker_inputs = None  # a --jobs worker's trainer inputs, set as it starts
+
+
+def _start_worker(*inputs):
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _train_archs(kind, cfg, jobs, inputs):
+    """Train each student.archs entry as <kind>_<x> on one set of trainer
+    inputs (--jobs workers inherit it as they start); returns their logs."""
+    tasks = list(zip(_arch_ids(kind, cfg), cfg.student_archs))
+    if jobs <= 1 or len(tasks) < 2:
+        return [_train_and_save(cfg, *task, inputs) for task in tasks]
+    with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_start_worker,
+                             initargs=inputs) as workers:
+        futures = [workers.submit(_train_and_save, cfg, *task) for task in tasks]
+        return [fut.result() for fut in futures]
 
 
 def stage_train_student(cfg, data, jobs=1):
-    _run_indexed("student", cfg, data, jobs)
+    """Every student learns the mentor's soft labels for the one pool."""
+    pool, test_set = _student_pool(cfg, data)
+    soft = pipeline.load_soft_labels(pipeline.soft_labels_path(cfg.output_dir))
+    inputs = (pipeline.train_student, cfg.student_train, (pool.images, soft), test_set)
+    return _train_archs("student", cfg, jobs, inputs)
 
 
 def stage_baseline(cfg, data, jobs=1):
-    _run_indexed("baseline", cfg, data, jobs)
+    """Every baseline learns the pool's hard labels, the students' reference."""
+    pool, test_set = _student_pool(cfg, data)
+    inputs = (pipeline.train_baseline, cfg.student_train, (pool,), test_set)
+    return _train_archs("baseline", cfg, jobs, inputs)
 
 
 def _load_models(cfg):
     """[(model_id, stack)] - mentor and students must exist, baselines may."""
-    letters = [model_letter(i) for i in range(len(cfg.student_archs))]
-    baselines = [f"baseline_{x}" for x in letters]
-    model_ids = ["mentor"] + [f"student_{x}" for x in letters] + [
-        m for m in baselines if os.path.exists(pipeline.ckpt_path(cfg.output_dir, m))
-    ]
+    baselines = [m for m in _arch_ids("baseline", cfg)
+                 if os.path.exists(pipeline.ckpt_path(cfg.output_dir, m))]
     return [(m, pipeline.load_checkpoint(pipeline.ckpt_path(cfg.output_dir, m)))
-            for m in model_ids]
+            for m in ["mentor", *_arch_ids("student", cfg), *baselines]]
 
 
 def stage_eval(cfg, data):
@@ -219,7 +211,7 @@ def stage_sweep(cfg, data):
             stage_split(run_cfg, data)
             mentor_accs.append(stage_train_mentor(run_cfg, data)[-1].test_accuracy)
             stage_label(run_cfg, data)
-            student_accs.append(_train_one(run_cfg, "student", 0, data)[-1].test_accuracy)
+            student_accs.append(stage_train_student(run_cfg, data)[0][-1].test_accuracy)
             _log(
                 f"sweep: ratio={ratio:g} seed={seed}"
                 f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}"

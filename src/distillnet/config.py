@@ -11,7 +11,8 @@ file. All validation failures raise ConfigError carrying the offending key.
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
+from .network import parse_tokens
 from .splitting import PerturbConfig, SplitConfig
 from .training import TrainConfig
 
@@ -62,6 +63,14 @@ def _list_of(conv=str, wrap=list):
     return to_list
 
 
+def _to_arch(key, value):
+    try:
+        parse_tokens(value)
+    except ParseError as exc:
+        raise ConfigError(key, str(exc)) from None
+    return value
+
+
 def _to_arch_list(key, value):
     # Split only on commas outside parentheses, so "c(3,4)-s,fc-s" is two
     # architectures, not three fragments.
@@ -78,7 +87,7 @@ def _to_arch_list(key, value):
     items = [item for item in items if item]
     if not items:
         raise ConfigError(key, "expected a comma-separated list")
-    return items
+    return [_to_arch(key, item) for item in items]
 
 
 def _to_dataset_kind(key, value):
@@ -101,7 +110,7 @@ class ExperimentConfig:
 
     dataset_kind: str = _key("dataset.kind", conv=_to_dataset_kind)
     output_dir: str = _key("output_dir")
-    mentor_arch: str = _key("mentor.arch")
+    mentor_arch: str = _key("mentor.arch", conv=_to_arch)
     student_archs: list = _key("student.archs", conv=_to_arch_list)
     split: SplitConfig = _key("split")
     mentor_train: TrainConfig = _key("mentor_train")
@@ -136,6 +145,25 @@ class ExperimentConfig:
     sweep_ratios: tuple = _key("sweep.ratios", (0.05, 0.1, 0.2, 0.4, 0.6, 0.8),
                                _list_of(float, tuple))
     sweep_seeds: tuple = _key("sweep.seeds", None, _list_of(int, tuple))
+
+
+# (key, holds(cfg), rule): the range rules a built config must keep
+_RULES = (
+    ("dataset.classes", lambda c: c.classes >= 2, "must be >= 2"),
+    ("dataset.per_class", lambda c: c.per_class >= 1, "must be >= 1"),
+    ("dataset.test_per_class", lambda c: c.test_per_class >= 1, "must be >= 1"),
+    ("dataset.difficulty", lambda c: 0 < c.difficulty <= 1, "must be in (0, 1]"),
+    ("dataset.shape", lambda c: len(c.shape) == 3 and min(c.shape) >= 1,
+     "must be 3 positive dims"),
+    ("dataset.per_class_cap", lambda c: c.per_class_cap is None or c.class_subset,
+     "requires dataset.class_subset"),
+    ("dataset.per_class_cap", lambda c: c.per_class_cap is None or c.per_class_cap >= 1,
+     "must be >= 1"),
+    ("perturb.foreign_classes", lambda c: c.foreign_classes >= 2, "must be >= 2"),
+    ("perturb.foreign_per_class", lambda c: c.foreign_per_class >= 1, "must be >= 1"),
+    ("sweep.ratios", lambda c: all(0 < r < 1 for r in c.sweep_ratios),
+     "each ratio must be in (0, 1)"),
+)
 
 
 def _config_keys():
@@ -235,18 +263,9 @@ def build_experiment_config(mapping):
         elif kind == mapping.get("dataset.kind"):
             raise ConfigError(key, f"required for dataset.kind={kind}")
     cfg = ExperimentConfig(**kwargs)
-    if not cfg.mentor_arch:
-        raise ConfigError("mentor.arch", "architecture string is empty")
-    if cfg.per_class_cap is not None and cfg.class_subset is None:
-        raise ConfigError("dataset.per_class_cap", "requires dataset.class_subset")
-    if cfg.per_class_cap is not None and cfg.per_class_cap < 1:
-        raise ConfigError("dataset.per_class_cap", f"must be >= 1, got {cfg.per_class_cap}")
-    if cfg.foreign_classes < 2:
-        raise ConfigError("perturb.foreign_classes", f"must be >= 2, got {cfg.foreign_classes}")
-    if cfg.foreign_per_class < 1:
-        raise ConfigError(
-            "perturb.foreign_per_class", f"must be >= 1, got {cfg.foreign_per_class}"
-        )
+    for key, holds, rule in _RULES:
+        if not holds(cfg):
+            raise ConfigError(key, f"{rule}, got {mapping.get(key)}")
     return cfg
 
 

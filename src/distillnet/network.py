@@ -314,6 +314,8 @@ class LayerStack:
 
         The stack's previous mode is restored afterwards, also on error.
         """
+        if len(images) == 0:
+            raise ShapeError("empty batch")
         prev = self.mode
         self.set_mode("eval")
         try:

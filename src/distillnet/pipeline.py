@@ -60,12 +60,6 @@ CHECKPOINT_MAGIC = b"DMCK"
 SOFT_LABEL_MAGIC = b"SLBL"
 FORMAT_VERSION = 1
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def model_letter(i):
-    return _LETTERS[i] if i < len(_LETTERS) else str(i + 1)
-
 
 def manifest_path(out_dir):
     return os.path.join(out_dir, "split_manifest.csv")
@@ -284,11 +278,6 @@ def build_student_pool(cfg, student_set, foreign):
     if foreign is None:
         raise ValidationError("inject perturbation configured but no foreign set available")
     return inject_ood(student_set, foreign, cfg.perturb)
-
-
-def train_mentor(cfg, mentor_set, test_set, progress=None):
-    """Train the mentor on its split's hard labels. Returns (stack, logs)."""
-    return train_baseline(cfg.mentor_train, mentor_set, cfg.mentor_arch, test_set, progress)
 
 
 def train_student(train_cfg, images, soft, arch, test_set, progress=None):

@@ -1,16 +1,6 @@
-"""Shared pytest wiring: the acceptance-criteria scoreboard.
+"""Shared pytest wiring: the slow marker and the acceptance-criteria summary."""
 
-Acceptance tests record one line per criterion through record_criterion();
-the summary hook prints the scoreboard at the end of every run so the
-PASS/FAIL status of each criterion is visible even without -s.
-"""
-
-_CRITERIA = {}
-
-
-def record_criterion(cid, description, status):
-    """status is 'PASS', 'FAIL', or 'SKIP (reason)'."""
-    _CRITERIA[cid] = (description, status)
+from criteria import CRITERIA
 
 
 def pytest_configure(config):
@@ -20,9 +10,9 @@ def pytest_configure(config):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _CRITERIA:
+    if not CRITERIA:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
-    for cid in sorted(_CRITERIA, key=lambda c: int(c[1:])):
-        description, status = _CRITERIA[cid]
+    for cid in sorted(CRITERIA, key=lambda c: int(c[1:])):
+        description, status = CRITERIA[cid]
         terminalreporter.write_line(f"[{cid}] {description} ... {status}")

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from criteria import record_criterion
 from distillnet.cli import main as cli_main
 from distillnet.data import gen_synthetic, gen_synthetic_split, load_idx, one_hot_rows
 from distillnet.evaluation import bench_inference, evaluate, format_percent, relative_accuracy

@@ -274,6 +274,37 @@ def test_perturb_foreign_keys_checked_without_injection(tmp_path, override):
     _assert_rejected(path, [override], override.split("=")[0])
 
 
+@pytest.mark.parametrize("override", [
+    "mentor.arch=", "mentor.arch=fc-zz-s", "mentor.arch=fc(32)-fc",
+    "student.archs=fc(32)-fc-s,fc-zz-s",
+    "dataset.classes=1", "dataset.per_class=0", "dataset.test_per_class=0",
+    "dataset.difficulty=0", "dataset.difficulty=1.5",
+    "dataset.shape=0,8,8", "dataset.shape=1,8",
+    "sweep.ratios=0.2,1.5", "sweep.ratios=0",
+])
+def test_bad_values_rejected_at_load(tmp_path, capsys, override):
+    # a malformed architecture or an out-of-range value is a config error
+    # naming its key (exit 1), raised before any data loads or stage runs
+    path, out = write_cfg(tmp_path)
+    key = override.split("=")[0]
+    with pytest.raises(ConfigError) as err:
+        load_config(path, overrides=[override])
+    assert err.value.key == key
+    verb = "sweep" if key == "sweep.ratios" else "run-all"
+    assert run_cli(verb, "--config", path, "--override", override) == 1
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_range_edges_and_shape_errors_still_load(tmp_path):
+    # the closed ends of the ranges load, and an architecture that parses
+    # but does not fit its input fails only when the stack is built
+    path, _ = write_cfg(tmp_path)
+    cfg = load_config(path, overrides=["dataset.difficulty=1", "dataset.classes=2",
+                                       "sweep.ratios=0.01,0.99", "mentor.arch=fc-c-s"])
+    assert (cfg.difficulty, cfg.classes, cfg.mentor_arch) == (1.0, 2, "fc-c-s")
+
+
 def test_required_keys():
     with pytest.raises(ConfigError) as err:
         build_experiment_config({"dataset.kind": "synthetic"})
@@ -540,19 +571,20 @@ def test_cli_split_rewrites_manifest_on_rerun(tmp_path):
     assert open(manifest).read().count(",mentor\n") == 4 * 20
 
 
-def test_cli_jobs_matches_sequential(tmp_path):
+@pytest.mark.parametrize("verb", ["train-student", "baseline"])
+def test_cli_jobs_matches_sequential(tmp_path, verb):
     path, out = write_cfg(tmp_path)
+    kind = verb.replace("train-", "")
     assert run_cli("split", "--config", path) == 0
     assert run_cli("train-mentor", "--config", path) == 0
     assert run_cli("label", "--config", path) == 0
-    assert run_cli("train-student", "--config", path) == 0
-    seq_a = open(os.path.join(out, "student_a.ckpt"), "rb").read()
-    seq_b = open(os.path.join(out, "student_b.ckpt"), "rb").read()
-    os.remove(os.path.join(out, "student_a.ckpt"))
-    os.remove(os.path.join(out, "student_b.ckpt"))
-    assert run_cli("train-student", "--config", path, "--jobs", "2") == 0
-    assert open(os.path.join(out, "student_a.ckpt"), "rb").read() == seq_a
-    assert open(os.path.join(out, "student_b.ckpt"), "rb").read() == seq_b
+    assert run_cli(verb, "--config", path) == 0
+    ckpts = [os.path.join(out, f"{kind}_{x}.ckpt") for x in "ab"]
+    sequential = [open(p, "rb").read() for p in ckpts]
+    for p in ckpts:
+        os.remove(p)
+    assert run_cli(verb, "--config", path, "--jobs", "2") == 0
+    assert [open(p, "rb").read() for p in ckpts] == sequential
 
 
 def test_jobs_workers_train_the_given_config(tmp_path):
@@ -625,5 +657,37 @@ def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
                         lambda *args: pools.append(build(*args)) or pools[-1])
     stage_run_all(cfg, data)
     assert digests() == before
-    assert len(pools) == 1 + len(cfg.student_archs)  # label, then each student
+    assert len(pools) == 2  # label, then one for every student
     assert [p.label_reads for p in pools] == [0] * len(pools)
+
+
+def test_train_student_builds_the_pool_and_reads_the_labels_once(tmp_path, monkeypatch):
+    # every architecture of one train-student trains on the same pool and
+    # soft labels, so the verb builds and reads them once, not once per arch
+    path, _ = write_cfg(tmp_path)
+    for verb in ("split", "train-mentor", "label"):
+        assert run_cli(verb, "--config", path) == 0
+    calls = []
+    for name in ("build_student_pool", "load_soft_labels"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    assert run_cli("train-student", "--config", path) == 0
+    assert sorted(calls) == ["build_student_pool", "load_soft_labels"]
+
+
+def test_jobs_workers_reuse_the_parents_data(tmp_path, monkeypatch):
+    # --jobs workers inherit the verb's pool, test set and soft labels; none
+    # of them loads the dataset again
+    path, out = write_cfg(tmp_path)
+    for verb in ("split", "train-mentor", "label"):
+        assert run_cli(verb, "--config", path) == 0
+    cfg = load_config(path)
+    data = pipeline.prepare_data(cfg)
+
+    def no_reload(cfg):
+        raise AssertionError("prepare_data called again")
+
+    monkeypatch.setattr(pipeline, "prepare_data", no_reload)
+    stage_train_student(cfg, data, jobs=2)
+    assert all(os.path.exists(os.path.join(out, f"student_{x}.ckpt")) for x in "ab")

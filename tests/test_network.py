@@ -387,6 +387,14 @@ def test_predict_matches_batched_forward_bytes():
     assert got.tobytes() == ref.tobytes()
 
 
+def test_predict_of_no_images_is_an_empty_batch():
+    # as forward rejects an empty batch, predict of zero images raises the
+    # same error rather than concatenating nothing
+    stack = parse_arch("fc(8)-fc-s", (1, 4, 4), 3, seed=0)
+    with pytest.raises(ShapeError, match="empty batch"):
+        stack.predict(np.zeros((0, 1, 4, 4)))
+
+
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_predict_runs_eval_mode_and_restores_mode(mode):
     stack = parse_arch("fc(8)-d-fc-s", (1, 4, 4), 3, seed=0)
