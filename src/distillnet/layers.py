@@ -3,18 +3,14 @@
 Each layer computes, allocates and views in its input's dtype, never casts
 and widens no sum; ``LayerStack`` decides the dtype. Activations keep the
 (N, C, H, W) shape until a fully-connected layer flattens them to
-(N, features), but their memory may be channels-last (N, H, W, C). Conv2d
-unfolds a channels-last padded copy of its input into columns in (kernel row,
-kernel column, channel) order, returns an (N, C, H, W) view of its
-(N*H*W, C) GEMM rows and builds its input gradient channels-last too; ReLU
-and MaxPool2d keep the memory order they are given rather than copying to
-channels-first. An eval-mode conv holds at most ``_COL_BYTES`` of columns at
-a time, unfolding and multiplying a run of whole images per step; a
-train-mode conv unfolds the whole batch at once. Each layer caches what its
-backward pass needs only when the stack is in train mode; eval-mode forwards
+(N, features), but their memory may be channels-last (N, H, W, C): Conv2d
+returns a view of its (N*H*W, C) GEMM rows and builds its input gradient
+channels-last, and ReLU and MaxPool2d keep the order they are given. In both
+modes a conv unfolds and multiplies one cache-sized run of whole images at a
+time. Layers cache what backward needs only in train mode; eval-mode forwards
 leave no state behind. A stack clears ``input_grad`` on its first layer,
-whose input gradient nothing reads, so a leading conv or fc computes only
-its parameter gradients.
+whose input gradient nothing reads, so a leading conv or fc computes only its
+parameter gradients.
 """
 
 from __future__ import annotations
@@ -67,24 +63,37 @@ class Layer:
         return self.cache
 
 
-# Most column bytes an eval-mode Conv2d.forward holds at once.
-_COL_BYTES = 32 << 20
+# Most column bytes in one Conv2d run: few enough that its GEMM reads them from cache.
+_COL_BYTES = 8 << 20
 
 
-def _im2col(x, k, pad):
+def _runs(n, image_bytes):
+    """Split n images into equal (start, end) runs of at most ``_COL_BYTES``.
+
+    A one-image run may exceed the cap. When n splits, equal runs (unlike full
+    chunks and a remainder) each hold at least a quarter of the cap, so no GEMM
+    gets small enough for a BLAS small-matrix kernel, which sums in another order.
+    """
+    parts = -(-n // max(1, _COL_BYTES // image_bytes))
+    return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
+
+
+def _im2col(x, k, pad, out=None):
     """Unfold k*k patches of an (N, C, H, W) array, zero-padded by pad, into rows.
 
-    Returns cols of shape (N*oh*ow, k*k*C): row (n*oh*ow + i*ow + j) holds
-    the patch producing output pixel (i, j), and column (u*k*C + v*C + c)
-    holds input channel c at kernel offset (u, v). The patches are gathered
-    from a channels-last padded copy, so each run copied is C contiguous
-    values; the copy is freed on return.
+    Returns cols of shape (N*oh*ow, k*k*C), in ``out`` (C-contiguous) if given: row
+    (n*oh*ow + i*ow + j) holds the patch producing output pixel (i, j), and
+    column (u*k*C + v*C + c) holds input channel c at kernel offset (u, v).
+    The patches are gathered from a channels-last padded copy, so each run
+    copied is C contiguous values; the copy is freed on return.
     """
     n, c, h, w = x.shape
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (n, oh, ow, c, k, k)
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * c)
+    win = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    cols = np.empty(win.shape, x.dtype) if out is None else out.reshape(win.shape)
+    cols[...] = win
+    return cols.reshape(-1, k * k * c)
 
 
 class Conv2d(Layer):
@@ -100,13 +109,10 @@ class Conv2d(Layer):
     stay byte-identical. No backward sum runs along the column axis, so the
     gradients equal the channel-first formulation's bit for bit.
 
-    Train mode unfolds the whole batch into one (N*oh*ow, k*k*in) column
-    matrix, which backward reads. Eval mode splits the batch into equal runs
-    of whole images, each with at most ``_COL_BYTES`` of columns (one image
-    per run if a single image's columns exceed it), and multiplies each run
-    into its rows of one preallocated output, so it holds one run's columns
-    at a time. Its output bytes equal those of an unsplit forward. Every
-    buffer takes its operands' dtype; the cap counts bytes at x's itemsize.
+    Both modes unfold and multiply one run of ``_runs`` at a time. Eval mode
+    holds one run's columns; train mode keeps the whole batch's for backward's
+    one weight-gradient GEMM, and backward builds dx run by run. All bytes
+    equal an unsplit conv's. Buffers take their operands' dtype.
     """
 
     kind = "c"
@@ -128,25 +134,20 @@ class Conv2d(Layer):
         return self.params["weight"].transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
 
     def forward(self, x, train, rng):
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
+            raise ShapeError(f"c: expected (N, {self.in_channels}, H, W), got shape {x.shape}")
         n, c, h, w = x.shape
         k, p = self.kernel, self.pad
         oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
-        chunk = max(1, _COL_BYTES // (oh * ow * k * k * c * x.itemsize))
-        # Equal runs, not full chunks plus a remainder: each run then holds at
-        # least a quarter of _COL_BYTES, so its GEMM stays far above the sizes
-        # where a BLAS may switch to a small-matrix kernel that sums in
-        # another order, and every output row keeps the unsplit GEMM's bits.
-        parts = 1 if train else max(1, -(-n // chunk))
-        ends = [i * n // parts for i in range(parts + 1)]
         w_rows = self._weight_rows().T
         y = np.empty((n * oh * ow, self.out_channels), dtype=np.result_type(x, w_rows))
-        for s, e in zip(ends, ends[1:]):
-            cols = _im2col(x[s:e], k, p)
-            rows = y[s * oh * ow : e * oh * ow]
-            np.matmul(cols, w_rows, out=rows)
-            rows += self.params["bias"]
-            if train:
-                self.cache = (cols, x.shape, oh, ow)
+        if train:
+            self.cache = (np.empty((len(y), k * k * c), dtype=x.dtype), x.shape, oh, ow)
+        for s, e in _runs(n, oh * ow * k * k * c * x.itemsize):
+            rows = slice(s * oh * ow, e * oh * ow)
+            cols = _im2col(x[s:e], k, p, out=self.cache[0][rows] if train else None)
+            np.matmul(cols, w_rows, out=y[rows])
+            y[rows] += self.params["bias"]
             del cols  # before the next run's columns are built
         return y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
@@ -163,16 +164,17 @@ class Conv2d(Layer):
         if not self.input_grad:
             return None
 
-        # Scatter column gradients back to (padded) input pixels. With stride 1
-        # each kernel offset (u, v) contributes one shifted dense slab, so the
-        # scatter is k*k vectorized adds of contiguous (n, oh, ow, c) blocks
-        # instead of an index-based col2im. The buffer is channels-last like
+        # Scatter column gradients back to (padded) input pixels: with stride 1
+        # each kernel offset (u, v) adds one shifted dense (run, oh, ow, c) slab,
+        # in place of an index-based col2im. The buffer is channels-last like
         # the column rows, and the returned (N, C, H, W) view keeps that order.
-        dcols = (dy_mat @ self._weight_rows()).reshape(n, oh, ow, k, k, c)
-        dxp = np.zeros((n, h + 2 * p, w_in + 2 * p, c), dtype=dcols.dtype)
-        for u in range(k):
-            for v in range(k):
-                dxp[:, u : u + oh, v : v + ow] += dcols[:, :, :, u, v]
+        w_rows, m = self._weight_rows(), oh * ow
+        dxp = np.zeros((n, h + 2 * p, w_in + 2 * p, c), dtype=np.result_type(dy, w_rows))
+        for s, e in _runs(n, m * k * k * c * cols.itemsize):  # forward's runs
+            dcols = (dy_mat[s * m : e * m] @ w_rows).reshape(e - s, oh, ow, k, k, c)
+            for u in range(k):
+                for v in range(k):
+                    dxp[s:e, u : u + oh, v : v + ow] += dcols[:, :, :, u, v]
         return dxp[:, p : p + h, p : p + w_in].transpose(0, 3, 1, 2)
 
 

@@ -1,8 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distillnet.errors import ShapeError, StateError
 from distillnet.layers import (
@@ -14,6 +17,7 @@ from distillnet.layers import (
     MaxPool2d,
     ReLU,
     _im2col,
+    _runs,
     softmax,
 )
 from distillnet.network import parse_arch
@@ -282,8 +286,8 @@ _CONV_CASES = {
     "k5": ((2, 2, 7, 7), 3, 5, False),
     "batch1": ((1, 3, 6, 5), 4, 3, True),
     "one_channel_k3": ((3, 1, 6, 7), 4, 3, False),
-    # 15 x 1024 x 288 float64 columns, past _COL_BYTES: train mode still
-    # unfolds the whole batch
+    # 15 x 1024 x 288 float64 columns, past _COL_BYTES: both modes run the
+    # batch as 5 runs of 3 images
     "over_cap_k3": ((15, 32, 32, 32), 4, 3, True),
 }
 
@@ -347,16 +351,16 @@ def _one_shot_conv(conv, x):
 
 _CHUNK_CASES = {
     # name: (x shape, out channels, kernel, x is channels-last); chunk is the
-    # number of images whose float64 columns fit in _COL_BYTES
-    "below_one_chunk": ((5, 32, 32, 32), 32, 3, True),  # chunk 14: one run
-    "uneven_runs": ((33, 32, 32, 32), 32, 3, True),  # chunk 14: runs of 11
-    # chunk 56: runs of 28 and 29, never a lone image, whose 256 x 4 GEMM
+    # number of images whose float64 columns fit in _COL_BYTES (8 MB)
+    "below_one_chunk": ((5, 32, 16, 16), 32, 3, True),  # chunk 14: one run
+    "uneven_runs": ((33, 32, 16, 16), 32, 3, True),  # chunk 14: runs of 11
+    # chunk 14: runs of 7 and 8, never a lone image, whose 256 x 4 GEMM
     # may take a BLAS small-matrix kernel that sums in another order
-    "one_past_chunk": ((57, 32, 16, 16), 4, 3, True),
-    "image_over_cap": ((2, 32, 128, 128), 4, 3, True),  # chunk 1
-    "k1": ((70, 256, 16, 16), 8, 1, True),  # chunk 64: runs of 35
-    "k5": ((12, 8, 64, 64), 8, 5, False),  # chunk 5: runs of 4
-    "one_channel": ((40, 1, 128, 128), 8, 3, False),  # chunk 28: runs of 20
+    "one_past_chunk": ((15, 32, 16, 16), 4, 3, True),
+    "image_over_cap": ((2, 32, 64, 64), 4, 3, True),  # chunk 1
+    "k1": ((18, 256, 16, 16), 8, 1, True),  # chunk 16: runs of 9
+    "k5": ((6, 8, 32, 32), 8, 5, False),  # chunk 5: runs of 3
+    "one_channel": ((10, 1, 128, 128), 8, 3, False),  # chunk 7: runs of 5
 }
 
 
@@ -372,6 +376,76 @@ def test_conv_eval_chunks_match_one_shot_gemm_bytes(case):
     got = conv.forward(x, False, rng)
     _assert_same_bytes(got, _one_shot_conv(conv, x))
     assert got.transpose(0, 2, 3, 1).flags.c_contiguous  # channels-last rows
+
+
+def _one_shot_conv_backward(conv, x, dy):
+    """dx, dW and db from the whole batch's columns: an unsplit Conv2d.backward."""
+    n, c, h, w = x.shape
+    k, p = conv.kernel, conv.pad
+    oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
+    dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, conv.out_channels)
+    dw = (dy_mat.T @ _im2col(x, k, p)).reshape(conv.out_channels, k, k, c)
+    dcols = (dy_mat @ conv._weight_rows()).reshape(n, oh, ow, k, k, c)
+    dxp = np.zeros((n, h + 2 * p, w + 2 * p, c))
+    for u in range(k):
+        for v in range(k):
+            dxp[:, u : u + oh, v : v + ow] += dcols[:, :, :, u, v]
+    dx = dxp[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
+    return dx, dw.transpose(0, 3, 1, 2), dy_mat.sum(axis=0)
+
+
+_TRAIN_RUN_CASES = {
+    # name: (x shape, out channels, kernel, x and dy are channels-last);
+    # chunk as in _CHUNK_CASES
+    "four_out_channels": ((30, 32, 16, 16), 4, 3, True),  # chunk 14: runs of 10
+    "k1": ((40, 256, 16, 16), 8, 1, True),  # chunk 16: runs of 13 and 14
+    "k5": ((12, 8, 32, 32), 8, 5, False),  # chunk 5: runs of 4
+    "uneven_batch": ((25, 16, 24, 24), 8, 3, True),  # chunk 12: runs of 8 and 9
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAIN_RUN_CASES))
+def test_conv_train_runs_match_one_shot_bytes(case):
+    shape, cout, k, channels_last = _TRAIN_RUN_CASES[case]
+    rng = np.random.default_rng(20 + sorted(_TRAIN_RUN_CASES).index(case))
+    conv = Conv2d(shape[1], cout, k, rng)
+    conv.params["bias"] = rng.normal(size=cout)
+    x = _signed_zeros(rng, shape) + rng.integers(0, 2, size=shape) * rng.normal(size=shape)
+    dy_shape = (shape[0], cout) + shape[2:]
+    dy = rng.normal(size=dy_shape) * (rng.random(dy_shape) < 0.6)
+    if channels_last:
+        x, dy = _channels_last(x), _channels_last(dy)
+    assert len(_runs(shape[0], shape[2] * shape[3] * k * k * shape[1] * 8)) >= 3
+
+    _assert_same_bytes(conv.forward(x, True, rng), _one_shot_conv(conv, x))
+    want_dx, want_dw, want_db = _one_shot_conv_backward(conv, x, dy)
+    _assert_same_bytes(conv.backward(dy), want_dx)
+    _assert_same_bytes(conv.grads["weight"], want_dw)
+    _assert_same_bytes(conv.grads["bias"], want_db)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 5000), st.integers(1, 3 * _COL_BYTES))
+def test_runs_are_equal_whole_image_runs_within_the_cap(n, image_bytes):
+    runs = _runs(n, image_bytes)
+    assert runs[0][0] == 0 and runs[-1][1] == n
+    assert all(end == start for (_, end), (start, _) in zip(runs, runs[1:]))
+    sizes = [e - s for s, e in runs]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    for size in sizes:
+        if size > 1:
+            assert size * image_bytes <= _COL_BYTES
+        if len(runs) > 1:  # no lone small remainder, not even of one image
+            assert 4 * size * image_bytes >= _COL_BYTES
+
+
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("shape", [(2, 5, 6, 6), (2, 1, 6, 6), (3, 6, 6), (2, 3, 6, 6, 1)])
+def test_conv_rejects_wrong_channels_or_rank(shape, train):
+    conv = Conv2d(3, 4, 3, np.random.default_rng(0))
+    with pytest.raises(ShapeError, match=re.escape(f"expected (N, 3, H, W), got shape {shape}")):
+        conv.forward(np.zeros(shape), train, np.random.default_rng(0))
+    assert conv.cache is None  # raised before anything was built
 
 
 def test_conv_eval_memory_is_bounded():
