@@ -19,9 +19,9 @@ and talks to the other verbs only through files under ``output_dir``:
 
 Exit codes: 0 success; 1 configuration problem (message names the offending
 key, or the flag: --jobs and --reps must be >= 1, --warmup >= 0); 2 a
-required input artifact does not exist; 3 any other runtime failure.
-Progress and errors go to stderr, stdout stays clean, and all outputs are
-written atomically (no partial files on interruption).
+required input artifact is missing or stale (made for another mentor.arch);
+3 any other runtime failure. Progress and errors go to stderr, stdout stays
+clean, and every output is written atomically (no partial files).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from . import pipeline, report
 from .config import load_config
 from .errors import ConfigError, DistillError, MissingArtifactError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
+from .network import parse_tokens, render_tokens
 from .report import ModelResult
 from .splitting import SplitConfig
 
@@ -93,9 +94,18 @@ def _student_pool(cfg, data):
     return pipeline.build_student_pool(cfg, student_set, foreign), test_set
 
 
+def _require_mentor_arch(cfg, path, arch, verb):
+    """Refuse (exit 2) an input made for another mentor.arch than cfg's."""
+    if arch != render_tokens(parse_tokens(cfg.mentor_arch)):
+        raise MissingArtifactError(f"{path} was made for mentor.arch={arch},"
+                                   f" not {cfg.mentor_arch}; rerun `{verb}`")
+
+
 def stage_label(cfg, data):
     pool, _ = _student_pool(cfg, data)
-    mentor = pipeline.load_checkpoint(pipeline.ckpt_path(cfg.output_dir, "mentor"))
+    path = pipeline.ckpt_path(cfg.output_dir, "mentor")
+    mentor = pipeline.load_checkpoint(path)
+    _require_mentor_arch(cfg, path, mentor.arch, "train-mentor")
     soft = pipeline.generate_soft_labels(mentor, pool.images)
     pipeline.save_soft_labels(soft, pipeline.soft_labels_path(cfg.output_dir))
     _log(f"label: {soft.rows.shape[0]} soft rows from {soft.mentor_id}"
@@ -131,7 +141,9 @@ def _train_archs(kind, cfg, jobs, inputs):
 def stage_train_student(cfg, data, jobs=1):
     """Every student learns the mentor's soft labels for the one pool."""
     pool, test_set = _student_pool(cfg, data)
-    soft = pipeline.load_soft_labels(pipeline.soft_labels_path(cfg.output_dir))
+    path = pipeline.soft_labels_path(cfg.output_dir)
+    soft = pipeline.load_soft_labels(path)
+    _require_mentor_arch(cfg, path, soft.mentor_id, "label")
     inputs = (pipeline.train_student, cfg.student_train, (pool.images, soft), test_set)
     return _train_archs("student", cfg, jobs, inputs)
 

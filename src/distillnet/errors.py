@@ -38,4 +38,4 @@ class ConfigError(DistillError):
 
 
 class MissingArtifactError(DistillError):
-    """A required input file produced by an earlier stage does not exist."""
+    """A required input file from an earlier stage is missing or stale."""

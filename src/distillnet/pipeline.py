@@ -8,15 +8,17 @@ probabilities, no temperature or sharpening - and the student trains purely
 on those rows. ``train_student`` takes images and soft rows only; there is no
 parameter through which ground truth could even arrive.
 
-Binary formats (all integers little-endian):
+Binary formats (all integers little-endian), one frame for both: magic, u32
+version=2, header, payload, then a 16-byte blake2b digest of all the bytes
+before it, checked before any header field is read.
 
-checkpoint (.ckpt)      magic "DMCK", u32 version=1, u32 arch length + ASCII
-                        arch string, 3x u32 input shape, u32 num_classes,
-                        then per state array: u32 rank, rank x u32 dims,
-                        float32 payload (row-major).
-soft labels (.slbl)     magic "SLBL", u32 version=1, u32 N, u32 K, u64
-                        checksum of the source image payload, u32 id length +
-                        ASCII mentor id, then N*K float32 rows (row-major).
+checkpoint (.ckpt)      magic "DMCK", u32 arch length + ASCII arch string,
+                        3x u32 input shape, u32 num_classes, then every state
+                        array as float32 (row-major), back to back.
+soft labels (.slbl)     magic "SLBL", u32 N (at byte 8, where perfbench reads
+                        the pool size), u32 K, u64 checksum of the source image
+                        payload, u32 id length + ASCII mentor id, then N*K
+                        float32 rows (row-major).
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from .training import invalid_distribution_row, train
 
 CHECKPOINT_MAGIC = b"DMCK"
 SOFT_LABEL_MAGIC = b"SLBL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DIGEST_SIZE = 16  # bytes of the blake2b trailer of every artifact
 
 
 def manifest_path(out_dir):
@@ -107,21 +110,35 @@ def generate_soft_labels(mentor, images, batch_size=256):
 # binary artifacts
 
 
-class _Cursor:
-    """Reads an artifact file, past its magic and format version."""
+def _write_artifact(path, magic, header, payload):
+    """Write magic, version, header and payload, then their blake2b digest."""
+    body = b"".join((magic, struct.pack("<I", FORMAT_VERSION), header, payload))
+    digest = hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
+    atomic_write_bytes(path, body + digest)
 
-    def __init__(self, path, magic, what):
+
+class _Cursor:
+    """Reads an artifact file past its magic and format version, once its
+    length and digest show it is exactly what _write_artifact wrote."""
+
+    def __init__(self, path, magic, what, writers):
         if not os.path.exists(path):
             raise MissingArtifactError(f"{what} not found: {path}")
         with open(path, "rb") as f:
-            self.buf = f.read()
+            buf = f.read()
         self.path = path
-        self.pos = 0
-        if self.take(4) != magic:
+        if buf[:4] != magic:
             raise FormatError(f"{path}: not a {what} (bad magic)")
-        (version,) = self.unpack("<I")
+        if len(buf) < 8 + DIGEST_SIZE:
+            raise FormatError(f"{path}: truncated ({len(buf)} bytes)")
+        (version,) = struct.unpack("<I", buf[4:8])
         if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported {what} version {version}")
+            raise FormatError(f"{path}: {what} format version {version}, expected"
+                              f" {FORMAT_VERSION}; rerun {writers} to rewrite it")
+        self.buf, self.pos = buf[:-DIGEST_SIZE], 8
+        digest = hashlib.blake2b(self.buf, digest_size=DIGEST_SIZE).digest()
+        if digest != buf[-DIGEST_SIZE:]:
+            raise FormatError(f"{path}: digest mismatch (corrupt or truncated)")
 
     def take(self, n):
         if self.pos + n > len(self.buf):
@@ -133,53 +150,36 @@ class _Cursor:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n, what):
+        try:
+            return self.take(n).decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: {what} is not ASCII") from exc
+
     def done(self):
         if self.pos != len(self.buf):
-            raise FormatError(
-                f"{self.path}: {len(self.buf) - self.pos} trailing bytes"
-            )
+            raise FormatError(f"{self.path}: {len(self.buf) - self.pos} trailing bytes")
 
 
 def save_checkpoint(stack, path):
     """Serialize arch + shapes + every state array (float32) to disk."""
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
     arch = stack.arch.encode("ascii")
-    out += struct.pack("<I", len(arch)) + arch
-    out += struct.pack("<3I", *stack.input_shape)
-    out += struct.pack("<I", stack.num_classes)
-    for _, arr in stack.state_items():
-        out += struct.pack("<I", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.astype("<f4").tobytes()
-    atomic_write_bytes(path, bytes(out))
+    header = struct.pack("<I", len(arch)) + arch + struct.pack(
+        "<4I", *stack.input_shape, stack.num_classes)
+    payload = b"".join(arr.astype("<f4").tobytes() for _, arr in stack.state_items())
+    _write_artifact(path, CHECKPOINT_MAGIC, header, payload)
 
 
 def load_checkpoint(path):
     """Rebuild a stack from a checkpoint; returned stack is in eval mode."""
-    cur = _Cursor(path, CHECKPOINT_MAGIC, "checkpoint")
+    cur = _Cursor(path, CHECKPOINT_MAGIC, "checkpoint",
+                  "`train-mentor`, `train-student` or `baseline`")
     (arch_len,) = cur.unpack("<I")
-    try:
-        arch = cur.take(arch_len).decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: arch string is not ASCII") from exc
-    input_shape = cur.unpack("<3I")
-    (num_classes,) = cur.unpack("<I")
+    arch = cur.text(arch_len, "arch string")
+    *input_shape, num_classes = cur.unpack("<4I")
     stack = parse_arch(arch, input_shape, num_classes, seed=0)
-    for name, arr in stack.state_items():
-        (rank,) = cur.unpack("<I")
-        if rank != arr.ndim:
-            raise FormatError(
-                f"{path}: tensor {name} has rank {rank}, arch implies {arr.ndim}"
-            )
-        dims = cur.unpack(f"<{rank}I")
-        if dims != arr.shape:
-            raise FormatError(
-                f"{path}: tensor {name} has dims {dims}, arch implies {arr.shape}"
-            )
-        data = np.frombuffer(cur.take(arr.size * 4), dtype="<f4")
-        arr[...] = data.reshape(arr.shape)
+    for _, arr in stack.state_items():
+        arr[...] = np.frombuffer(cur.take(arr.size * 4), dtype="<f4").reshape(arr.shape)
     cur.done()
     stack.set_mode("eval")
     return stack
@@ -187,27 +187,15 @@ def load_checkpoint(path):
 
 def save_soft_labels(soft, path):
     rows32 = np.ascontiguousarray(soft.rows, dtype="<f4")
-    n, k = rows32.shape
     ident = soft.mentor_id.encode("ascii")
-    out = bytearray()
-    out += SOFT_LABEL_MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    out += struct.pack("<II", n, k)
-    out += struct.pack("<Q", soft.source_checksum)
-    out += struct.pack("<I", len(ident)) + ident
-    out += rows32.tobytes()
-    atomic_write_bytes(path, bytes(out))
+    header = struct.pack("<IIQI", *rows32.shape, soft.source_checksum, len(ident))
+    _write_artifact(path, SOFT_LABEL_MAGIC, header + ident, rows32.tobytes())
 
 
 def load_soft_labels(path):
-    cur = _Cursor(path, SOFT_LABEL_MAGIC, "soft-label file")
-    n, k = cur.unpack("<II")
-    (checksum,) = cur.unpack("<Q")
-    (id_len,) = cur.unpack("<I")
-    try:
-        mentor_id = cur.take(id_len).decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: mentor id is not ASCII") from exc
+    cur = _Cursor(path, SOFT_LABEL_MAGIC, "soft-label file", "`label`")
+    n, k, checksum, id_len = cur.unpack("<IIQI")
+    mentor_id = cur.text(id_len, "mentor id")
     rows = np.frombuffer(cur.take(n * k * 4), dtype="<f4")
     cur.done()
     rows = rows.astype(np.float64).reshape(n, k)  # wide: for the sum check

@@ -483,6 +483,34 @@ def test_cli_exit_codes(tmp_path):
     ) == 3
 
 
+def test_cli_label_refuses_a_mentor_of_another_arch(tmp_path, capsys):
+    # a mentor.ckpt left by another mentor.arch is stale: exit 2, not labels
+    # from the wrong mentor; an equal arch spelled another way is the same one
+    path, out = write_cfg(tmp_path)
+    assert run_cli("split", "--config", path) == 0
+    assert run_cli("train-mentor", "--config", path) == 0
+    capsys.readouterr()
+    assert run_cli("label", "--config", path,
+                   "--override", "mentor.arch=fc(16)-fc-s") == 2
+    err = capsys.readouterr().err
+    assert "mentor.ckpt" in err and "mentor.arch" in err and "`train-mentor`" in err
+    assert not os.path.exists(os.path.join(out, "soft_labels.slbl"))
+    assert run_cli("label", "--config", path,
+                   "--override", "mentor.arch=(fc(32))^1-fc-s") == 0
+
+
+def test_cli_train_student_refuses_labels_of_another_mentor_arch(tmp_path, capsys):
+    path, out = write_cfg(tmp_path)
+    for verb in ("split", "train-mentor", "label"):
+        assert run_cli(verb, "--config", path) == 0
+    capsys.readouterr()
+    assert run_cli("train-student", "--config", path,
+                   "--override", "mentor.arch=fc(16)-fc-s") == 2
+    err = capsys.readouterr().err
+    assert "soft_labels.slbl" in err and "mentor.arch" in err and "`label`" in err
+    assert not os.path.exists(os.path.join(out, "student_a.ckpt"))
+
+
 def test_cli_diverged_training_exits_3_without_checkpoint(tmp_path, capsys):
     path, out = write_cfg(tmp_path)
     assert run_cli("split", "--config", path) == 0

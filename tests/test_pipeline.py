@@ -79,16 +79,46 @@ def test_checkpoint_magic_and_layout(tmp_path):
     save_checkpoint(stack, path)
     buf = open(path, "rb").read()
     assert buf[:4] == b"DMCK"
-    assert struct.unpack("<I", buf[4:8])[0] == 1  # version
+    assert struct.unpack("<I", buf[4:8])[0] == 2  # version
     arch_len = struct.unpack("<I", buf[8:12])[0]
     assert buf[12 : 12 + arch_len].decode("ascii") == "fc-s"
     shape_off = 12 + arch_len
     assert struct.unpack("<3I", buf[shape_off : shape_off + 12]) == (1, 6, 6)
     assert struct.unpack("<I", buf[shape_off + 12 : shape_off + 16])[0] == 3
+    # the state arrays follow as float32, back to back, with no per-tensor
+    # records; a 16-byte blake2b digest of everything before it ends the file
+    payload = b"".join(arr.astype("<f4").tobytes() for _, arr in stack.state_items())
+    assert buf[shape_off + 16 : -16] == payload
+    assert buf[-16:] == hashlib.blake2b(buf[:-16], digest_size=16).digest()
+
+
+def assert_every_corruption_refused(raw, load, bad):
+    """Every single-bit flip and every truncation of the file raw raises
+    FormatError and nothing else, as do a few appended bytes."""
+
+    def refused(data):
+        with open(bad, "wb") as f:
+            f.write(data)
+        with pytest.raises(FormatError):
+            load(bad)
+
+    for bit in range(len(raw) * 8):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        refused(bytes(flipped))
+    for end in range(len(raw)):  # every truncation, header and payload
+        refused(raw[:end])
+    refused(raw + b"\x00\x00")  # trailing bytes
+
+
+def restamped(raw, version):
+    """raw with another format version and a digest that matches it."""
+    body = raw[:4] + struct.pack("<I", version) + raw[8:-16]
+    return body + hashlib.blake2b(body, digest_size=16).digest()
 
 
 def test_checkpoint_corruption_detected(tmp_path):
-    stack, _ = trained_stack(arch="fc-s")
+    stack, _ = trained_stack()
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(stack, path)
     raw = open(path, "rb").read()
@@ -102,14 +132,13 @@ def test_checkpoint_corruption_detected(tmp_path):
     with pytest.raises(FormatError):
         load_checkpoint(bad)
 
-    for end in range(len(raw)):  # every truncation, header and payload
-        open(bad, "wb").write(raw[:end])
-        with pytest.raises(FormatError):
-            load_checkpoint(bad)
-
-    open(bad, "wb").write(raw + b"\x00\x00")  # trailing bytes
-    with pytest.raises(FormatError):
+    # a version-1 file is otherwise valid: it is refused by its version, and
+    # the message names the verbs that rewrite it
+    open(bad, "wb").write(restamped(raw, 1))
+    with pytest.raises(FormatError, match="version 1.*train-mentor.*train-student.*baseline"):
         load_checkpoint(bad)
+
+    assert_every_corruption_refused(raw, load_checkpoint, bad)
 
 
 def test_checkpoint_missing_file(tmp_path):
@@ -169,12 +198,13 @@ def test_soft_labels_file_layout(tmp_path):
     buf = open(path, "rb").read()
     assert buf[:4] == b"SLBL"
     version, n, k = struct.unpack("<III", buf[4:16])
-    assert (version, n, k) == (1, 2, 2)
+    assert (version, n, k) == (2, 2, 2)
     assert struct.unpack("<Q", buf[16:24])[0] == 123456789
     id_len = struct.unpack("<I", buf[24:28])[0]
     assert buf[28 : 28 + id_len] == b"fc-s"
-    payload = np.frombuffer(buf[28 + id_len :], dtype="<f4")
+    payload = np.frombuffer(buf[28 + id_len : -16], dtype="<f4")
     assert np.array_equal(payload.reshape(2, 2), rows.astype(np.float32))
+    assert buf[-16:] == hashlib.blake2b(buf[:-16], digest_size=16).digest()
 
 
 def test_soft_labels_corruption_detected(tmp_path):
@@ -187,13 +217,10 @@ def test_soft_labels_corruption_detected(tmp_path):
     open(bad, "wb").write(b"NOPE" + raw[4:])
     with pytest.raises(FormatError):
         load_soft_labels(bad)
-    for end in range(len(raw)):  # every truncation, header and payload
-        open(bad, "wb").write(raw[:end])
-        with pytest.raises(FormatError):
-            load_soft_labels(bad)
-    open(bad, "wb").write(raw + b"!")
-    with pytest.raises(FormatError):
+    open(bad, "wb").write(restamped(raw, 1))
+    with pytest.raises(FormatError, match="version 1.*`label`"):
         load_soft_labels(bad)
+    assert_every_corruption_refused(raw, load_soft_labels, bad)
     with pytest.raises(MissingArtifactError):
         load_soft_labels(str(tmp_path / "ghost.slbl"))
 

@@ -11,6 +11,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
+
+from distillnet.pipeline import SoftLabelSet, load_soft_labels, save_soft_labels
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -50,3 +54,14 @@ def test_span_tracer_wraps_the_layers(tmp_path):
     assert {f"cli.{verb}" for verb in verbs} <= names
     assert {"layers.c.bwd", "layers.mp.bwd", "layers.c.fwd_eval",
             "evaluation.evaluate", "evaluation.confusion"} <= names
+
+
+def test_soft_label_row_count_sits_where_the_benchmark_reads_it(tmp_path):
+    # perfbench/run.py check_rep reads the pool size as the u32 at byte 8 of
+    # soft_labels.slbl, and the label and train throughput metrics divide by
+    # it, so a format change that moves it must fail here first
+    rows = np.full((5, 4), 0.25)
+    path = str(tmp_path / "soft_labels.slbl")
+    save_soft_labels(SoftLabelSet(rows, source_checksum=7, mentor_id="fc-s"), path)
+    raw = open(path, "rb").read()
+    assert int.from_bytes(raw[8:12], "little") == load_soft_labels(path).rows.shape[0] == 5
