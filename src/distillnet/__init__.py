@@ -21,7 +21,6 @@ from .errors import (
 )
 from .evaluation import (
     BenchResult,
-    ConfusionMatrix,
     bench_inference,
     confusion_matrix,
     evaluate,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchResult",
     "ConfigError",
-    "ConfusionMatrix",
     "DistillError",
     "EpochLog",
     "ExperimentConfig",

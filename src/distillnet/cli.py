@@ -182,14 +182,14 @@ def stage_eval(cfg, data):
 def stage_confusion(cfg, data):
     _, test_set, _ = data
     for model_id, stack in _load_models(cfg):
-        matrix = confusion_matrix(stack, test_set)
+        counts = confusion_matrix(stack, test_set)
         path = report.confusion_csv_path(cfg.output_dir, model_id)
-        report.write_confusion(matrix, path)
-        errors = int(matrix.off_diagonal().sum())
+        report.write_confusion(counts, path)
+        errors = int(counts.sum() - np.trace(counts))
         _log(f"confusion: {model_id} ({errors} misclassified) -> {path}")
 
 
-def stage_bench(cfg, data, reps=100, warmup=3):
+def stage_bench(cfg, data, reps, warmup):
     _, test_set, _ = data
     benches = []
     for model_id, stack in _load_models(cfg):

@@ -48,15 +48,31 @@ def _to_float(key, value):
 _BY_TYPE = {str: _text, bool: _to_bool, int: _to_int, float: _to_float}
 
 
+def _items(key, value):
+    """The non-empty items of a comma-separated list value. Only commas outside
+    parentheses split, so "c(3,4)-s,fc-s" is two architectures, not three
+    fragments."""
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(value + ","):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(depth - 1, 0)
+        elif ch == "," and depth == 0:
+            items.append(value[start:i].strip())
+            start = i + 1
+    items = [item for item in items if item]
+    if not items:
+        raise ConfigError(key, "expected a comma-separated list")
+    return items
+
+
 def _list_of(conv=str, wrap=list):
     """Converter for a comma-separated list of conv(item), built by wrap."""
 
     def to_list(key, value):
-        items = [part.strip() for part in value.split(",") if part.strip()]
-        if not items:
-            raise ConfigError(key, "expected a comma-separated list")
         try:
-            return wrap(conv(item) for item in items)
+            return wrap(conv(item) for item in _items(key, value))
         except ValueError:
             raise ConfigError(key, f"bad list element in {value!r}") from None
 
@@ -72,22 +88,7 @@ def _to_arch(key, value):
 
 
 def _to_arch_list(key, value):
-    # Split only on commas outside parentheses, so "c(3,4)-s,fc-s" is two
-    # architectures, not three fragments.
-    items, depth, start = [], 0, 0
-    for i, ch in enumerate(value):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(depth - 1, 0)
-        elif ch == "," and depth == 0:
-            items.append(value[start:i].strip())
-            start = i + 1
-    items.append(value[start:].strip())
-    items = [item for item in items if item]
-    if not items:
-        raise ConfigError(key, "expected a comma-separated list")
-    return [_to_arch(key, item) for item in items]
+    return [_to_arch(key, item) for item in _items(key, value)]
 
 
 def _to_dataset_kind(key, value):

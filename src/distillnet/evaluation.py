@@ -1,4 +1,7 @@
-"""Accuracy, confusion matrices, relative accuracy, inference benchmarks."""
+"""Accuracy, loss and confusion counts, relative accuracy, inference benchmarks.
+
+Every labeled score is a view of ``training._test_metrics``, the one scorer.
+"""
 
 from __future__ import annotations
 
@@ -8,62 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .training import _test_metrics
 
 
-def _check_classes(stack, test_set):
-    if test_set.num_classes != stack.num_classes:
-        raise ShapeError(
-            f"stack has {stack.num_classes} classes, test set has "
-            f"{test_set.num_classes}"
-        )
+def evaluate(stack, test_set):
+    """(accuracy, mean one-hot cross-entropy) on a labeled set; argmax ties
+    break to the lowest class index."""
+    return _test_metrics(stack, test_set)[:2]
 
 
-def evaluate(stack, test_set, batch_size=256):
-    """(accuracy, mean loss) on a labeled set.
-
-    Accuracy is exact argmax agreement (ties break to the lowest class
-    index, numpy argmax semantics); loss is mean cross-entropy against the
-    one-hot truth. Batch size does not affect either number.
-    """
-    _check_classes(stack, test_set)
-    return _test_metrics(stack, test_set, batch_size)
-
-
-@dataclass
-class ConfusionMatrix:
-    """counts[i, j] = test rows of true class i predicted as class j."""
-
-    counts: np.ndarray
-
-    @property
-    def num_classes(self):
-        return self.counts.shape[0]
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-    def accuracy(self):
-        return float(np.trace(self.counts)) / self.total
-
-    def off_diagonal(self):
-        """Off-diagonal entries, row-major (used for error-pattern comparison)."""
-        k = self.num_classes
-        mask = ~np.eye(k, dtype=bool)
-        return self.counts[mask]
-
-
-def confusion_matrix(stack, test_set, batch_size=256):
-    labels = test_set.labels
-    if np.any(labels < 0):
-        raise ValidationError("confusion matrix needs real labels on every row")
-    _check_classes(stack, test_set)
-    k = stack.num_classes
-    preds = stack.predict(test_set.images, batch_size).argmax(axis=1)
-    counts = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
-    return ConfusionMatrix(counts.astype(np.int64))
+def confusion_matrix(stack, test_set):
+    """(K, K) int64 counts: [i, j] counts test rows of true class i predicted as j."""
+    return _test_metrics(stack, test_set)[2]
 
 
 def relative_accuracy(student_accuracy, mentor_accuracy):
@@ -96,7 +56,7 @@ class BenchResult:
     std_s: float
 
 
-def bench_inference(stack, test_set, reps=100, warmup=3, batch_size=256, model_id=None):
+def bench_inference(stack, test_set, reps=100, warmup=3, model_id=None):
     """Time full-test-set eval-mode forward passes.
 
     Runs ``warmup`` untimed passes, then ``reps`` timed ones on the
@@ -108,11 +68,11 @@ def bench_inference(stack, test_set, reps=100, warmup=3, batch_size=256, model_i
     if warmup < 0:
         raise ValidationError(f"warmup must be >= 0, got {warmup}")
     for _ in range(warmup):
-        stack.predict(test_set.images, batch_size)
+        stack.predict(test_set.images)
     per_rep = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        stack.predict(test_set.images, batch_size)
+        stack.predict(test_set.images)
         per_rep.append(time.perf_counter() - t0)
     return BenchResult(
         model_id=model_id if model_id is not None else stack.arch,

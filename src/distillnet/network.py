@@ -36,6 +36,8 @@ import numpy as np
 from .errors import ParseError, ShapeError, StateError, ValidationError
 from .layers import BatchNorm, Conv2d, Dropout, FullyConnected, MaxPool2d, ReLU, Softmax
 
+EVAL_BATCH = 256  # rows per eval-mode forward in LayerStack.predict
+
 _ATOMS = {"c", "mp", "fc", "bn", "d", "relu", "s"}
 _NUM_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
 
@@ -309,10 +311,12 @@ class LayerStack:
             self._probs = x
         return x
 
-    def predict(self, images, batch_size=256):
-        """Eval-mode (N, num_classes) probabilities, ``batch_size`` rows at a time.
+    def predict(self, images):
+        """Eval-mode (N, num_classes) probabilities, ``EVAL_BATCH`` rows at a time.
 
-        The stack's previous mode is restored afterwards, also on error.
+        A row's last bits can depend on the batch it lands in, since BLAS
+        picks its kernel by shape. The stack's previous mode is restored
+        afterwards, also on error.
         """
         if len(images) == 0:
             raise ShapeError("empty batch")
@@ -320,8 +324,8 @@ class LayerStack:
         self.set_mode("eval")
         try:
             return np.concatenate(
-                [self.forward(images[s : s + batch_size])
-                 for s in range(0, len(images), batch_size)]
+                [self.forward(images[s : s + EVAL_BATCH])
+                 for s in range(0, len(images), EVAL_BATCH)]
             )
         finally:
             self.set_mode(prev)

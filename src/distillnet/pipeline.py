@@ -100,9 +100,9 @@ def image_payload_checksum(images):
     return int.from_bytes(digest.digest(), "little")
 
 
-def generate_soft_labels(mentor, images, batch_size=256):
+def generate_soft_labels(mentor, images):
     """Run the mentor in eval mode over a pool; returns its softmax rows as-is."""
-    rows = mentor.predict(images, batch_size)
+    rows = mentor.predict(images)
     return SoftLabelSet(rows, image_payload_checksum(images), mentor.arch)
 
 
@@ -292,13 +292,7 @@ def train_student(train_cfg, images, soft, arch, test_set, progress=None):
 def train_baseline(train_cfg, pool, arch, test_set, progress=None):
     """Train on a labeled set's ground-truth hard labels: the student pool for
     a baseline (the reference run), or the mentor split for the mentor."""
-    labels = pool.labels
-    if labels.size == 0:
-        raise ValidationError("hard-label training set is empty")
-    if labels.min() < 0:
-        raise ValidationError(
-            "hard-label training set contains sentinel rows without hard labels"
-        )
+    # one_hot_rows refuses an empty pool or a sentinel row, before He init
+    targets = one_hot_rows(pool.labels, pool.num_classes)
     stack = parse_arch(arch, pool.image_shape, pool.num_classes, seed=train_cfg.seed)
-    targets = one_hot_rows(labels, pool.num_classes)
     return train(stack, pool.images, targets, test_set, train_cfg, progress)

@@ -88,10 +88,11 @@ def write_epochs(logs, path, zero_wall_time=True):
     atomic_write_text(path, _csv_text(EPOCH_HEADER, rows))
 
 
-def write_confusion(matrix, path):
-    k = matrix.num_classes
+def write_confusion(counts, path):
+    """counts: the (K, K) array of evaluation.confusion_matrix."""
+    k = counts.shape[0]
     header = ["true/pred"] + [str(j) for j in range(k)]
-    rows = [[str(i)] + [int(v) for v in matrix.counts[i]] for i in range(k)]
+    rows = [[str(i)] + [int(v) for v in counts[i]] for i in range(k)]
     atomic_write_text(path, _csv_text(header, rows))
 
 

@@ -101,15 +101,20 @@ def sgd_step(params, grads, velocity, cfg):
     return params, velocity
 
 
-def _test_metrics(stack, test_set, batch_size=256):
-    """(accuracy, mean one-hot cross-entropy) of a stack on a labeled set."""
+def _test_metrics(stack, test_set):
+    """(accuracy, mean one-hot cross-entropy, (K, K) confusion counts) of a
+    stack on a labeled set, from one eval pass; accuracy is trace(counts) / n.
+    counts[i, j] is the number of rows of true class i predicted as class j."""
     labels = test_set.labels
     if np.any(labels < 0):
         raise ValidationError("metrics need real labels; set contains sentinel rows")
-    probs = stack.predict(test_set.images, batch_size)
-    correct = int((probs.argmax(axis=1) == labels).sum())
+    k = stack.num_classes
+    if test_set.num_classes != k:
+        raise ShapeError(f"stack has {k} classes, test set has {test_set.num_classes}")
+    probs = stack.predict(test_set.images)
+    counts = np.bincount(labels * k + probs.argmax(axis=1), minlength=k * k).reshape(k, k)
     loss = float(-np.log(probs[np.arange(test_set.n), labels]).sum())
-    return correct / test_set.n, loss / test_set.n
+    return int(np.trace(counts)) / test_set.n, loss / test_set.n, counts
 
 
 def train(stack, images, targets, test_set, cfg, progress=None):
@@ -156,7 +161,7 @@ def train(stack, images, targets, test_set, cfg, progress=None):
             loss_sum += loss * sel.size
             grads = stack.backward(targets[sel])
             sgd_step(params, grads, velocity, epoch_cfg)
-        test_accuracy, test_loss = _test_metrics(stack, test_set)
+        test_accuracy, test_loss, _ = _test_metrics(stack, test_set)
         log = EpochLog(epoch, loss_sum / n, test_loss, test_accuracy,
                        time.perf_counter() - t0)
         logs.append(log)

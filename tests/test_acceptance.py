@@ -312,7 +312,7 @@ def test_c7_inference_ordering():
         ("student_c", "c^2-mp-fc^2-s"),
     ):
         stack = parse_arch(arch, (3, 32, 32), 10, seed=0)
-        result = bench_inference(stack, test_set, reps=100, warmup=3, batch_size=50)
+        result = bench_inference(stack, test_set, reps=100, warmup=3)
         means[name] = result.mean_s
     ok = means["student_c"] < means["student_b"] < means["mentor"]
     criterion("C7", desc, ok,

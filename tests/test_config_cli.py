@@ -17,7 +17,7 @@ from distillnet.config import (
     parse_config_text,
 )
 from distillnet.errors import ConfigError
-from distillnet.evaluation import BenchResult, ConfusionMatrix, format_percent
+from distillnet.evaluation import BenchResult, format_percent
 from distillnet.pipeline import load_checkpoint
 from distillnet.report import (
     ModelResult,
@@ -341,7 +341,7 @@ def write_sample_report(out, zero_wall_time=True):
                 bench_csv_path(out))
     epochs = [EpochLog(1, 1.5, 1.4, 0.5, 3.3), EpochLog(2, 1.2, 1.1, 0.625, 3.1)]
     write_epochs(epochs, epochs_csv_path(out, "mentor"), zero_wall_time)
-    write_confusion(ConfusionMatrix(np.array([[8, 2], [1, 9]])),
+    write_confusion(np.array([[8, 2], [1, 9]]),
                     confusion_csv_path(out, "mentor"))
 
 

@@ -20,6 +20,7 @@ from distillnet.layers import (
     _runs,
     softmax,
 )
+from distillnet import network
 from distillnet.network import parse_arch
 
 from numpy.lib.stride_tricks import sliding_window_view
@@ -462,11 +463,12 @@ def test_conv_eval_memory_is_bounded():
     assert peak < 200 << 20, f"eval conv forward peaked at {peak / 2**20:.0f} MB"
 
 
-def test_stack_predict_matches_train_forward_bytes():
+def test_stack_predict_matches_train_forward_bytes(monkeypatch):
     # every conv after the first splits these 300 images into several runs
+    monkeypatch.setattr(network, "EVAL_BATCH", 300)
     stack = parse_arch("c^2-mp-c^2-mp-c^2-mp-fc^2-s", (3, 16, 16), 10, seed=3)
     x = np.random.default_rng(4).normal(size=(300, 3, 16, 16))
-    want = stack.predict(x, batch_size=300)
+    want = stack.predict(x)
     stack.set_mode("train")
     _assert_same_bytes(stack.forward(x), want)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distillnet.errors import ParseError, ShapeError, StateError, ValidationError
+from distillnet import network
 from distillnet.network import Token, parse_arch, parse_tokens, render_tokens
 
 
@@ -376,13 +377,14 @@ def test_arch_attribute_is_canonical_render():
     assert stack.arch == "c^2-mp-fc^2-s"
 
 
-def test_predict_matches_batched_forward_bytes():
+def test_predict_matches_batched_forward_bytes(monkeypatch):
     # 7 rows in batches of 3: the last batch is partial
+    monkeypatch.setattr(network, "EVAL_BATCH", 3)
     stack = parse_arch("c(3,4)-mp-fc(8)-fc-s", (1, 6, 6), 3, seed=0)
     x = np.random.default_rng(0).uniform(size=(7, 1, 6, 6))
     stack.set_mode("eval")
     ref = np.concatenate([stack.forward(x[s : s + 3]) for s in range(0, 7, 3)])
-    got = stack.predict(x, batch_size=3)
+    got = stack.predict(x)
     assert got.shape == (7, 3)
     assert got.tobytes() == ref.tobytes()
 
@@ -396,13 +398,14 @@ def test_predict_of_no_images_is_an_empty_batch():
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_predict_runs_eval_mode_and_restores_mode(mode):
+def test_predict_runs_eval_mode_and_restores_mode(mode, monkeypatch):
+    monkeypatch.setattr(network, "EVAL_BATCH", 2)
     stack = parse_arch("fc(8)-d-fc-s", (1, 4, 4), 3, seed=0)
     x = np.random.default_rng(1).uniform(size=(5, 1, 4, 4))
     stack.set_mode("eval")
     ref = stack.forward(x)
     stack.set_mode(mode)
-    assert stack.predict(x, batch_size=2).tobytes() == ref.tobytes()  # no dropout
+    assert stack.predict(x).tobytes() == ref.tobytes()  # no dropout
     assert stack.mode == mode
     with pytest.raises(ShapeError):
         stack.predict(np.zeros((2, 1, 5, 5)))

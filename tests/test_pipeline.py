@@ -13,6 +13,7 @@ from distillnet.errors import (
     ShapeError,
     ValidationError,
 )
+from distillnet import network
 from distillnet.network import parse_arch
 from distillnet.pipeline import (
     SoftLabelSet,
@@ -163,11 +164,13 @@ def test_generate_soft_labels_matches_eval_forward():
     assert soft.source_checksum == image_payload_checksum(pool.images)
 
 
-def test_generate_soft_labels_batching_is_invisible():
+def test_generate_soft_labels_batching_is_invisible(monkeypatch):
     stack, _ = trained_stack()
     pool = gen_synthetic(3, 40, (1, 6, 6), 3, 0.5)
-    a = generate_soft_labels(stack, pool.images, batch_size=7)
-    b = generate_soft_labels(stack, pool.images, batch_size=1000)
+    monkeypatch.setattr(network, "EVAL_BATCH", 7)
+    a = generate_soft_labels(stack, pool.images)
+    monkeypatch.setattr(network, "EVAL_BATCH", 1000)
+    b = generate_soft_labels(stack, pool.images)
     assert np.array_equal(a.rows, b.rows)
 
 

@@ -316,6 +316,23 @@ def test_train_validation_errors():
               TrainConfig(batch_size=train_set.n + 1))
 
 
+@pytest.mark.parametrize("stack_classes, test_classes", [(10, 4), (4, 10)])
+def test_train_refuses_a_test_set_of_another_class_count(stack_classes, test_classes):
+    # the first epoch's test pass checks the class count, before any epoch is
+    # logged: fewer test classes than the stack's must not score silently, and
+    # more must not die in numpy indexing
+    train_set, _ = small_task()
+    _, test_set = small_task(classes=test_classes)
+    stack = parse_arch("fc-s", (1, 6, 6), stack_classes, seed=0)
+    targets = one_hot_rows(train_set.labels, stack_classes)
+    logs = []
+    with pytest.raises(ShapeError, match=f"stack has {stack_classes} classes, "
+                                         f"test set has {test_classes}"):
+        train(stack, train_set.images, targets, test_set,
+              TrainConfig(epochs=2, batch_size=16), progress=logs.append)
+    assert logs == []
+
+
 def test_train_non_finite_loss_names_epoch_and_batch():
     train_set, test_set = small_task(seed=4)
     stack = parse_arch("fc(16)-fc-s", (1, 6, 6), 4, seed=0)
