@@ -39,7 +39,6 @@ from . import pipeline, report
 from .config import load_config
 from .errors import ConfigError, DistillError, MissingArtifactError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
-from .network import parse_tokens, render_tokens
 from .report import ModelResult
 from .splitting import SplitConfig
 
@@ -96,7 +95,7 @@ def _student_pool(cfg, data):
 
 def _require_mentor_arch(cfg, path, arch, verb):
     """Refuse (exit 2) an input made for another mentor.arch than cfg's."""
-    if arch != render_tokens(parse_tokens(cfg.mentor_arch)):
+    if arch != cfg.mentor_arch:
         raise MissingArtifactError(f"{path} was made for mentor.arch={arch},"
                                    f" not {cfg.mentor_arch}; rerun `{verb}`")
 

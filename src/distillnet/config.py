@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .errors import ConfigError, ParseError, ValidationError
-from .network import parse_tokens
+from .network import parse_tokens, render_tokens
 from .splitting import PerturbConfig, SplitConfig
 from .training import TrainConfig
 
@@ -81,10 +81,9 @@ def _list_of(conv=str, wrap=list):
 
 def _to_arch(key, value):
     try:
-        parse_tokens(value)
+        return render_tokens(parse_tokens(value))
     except ParseError as exc:
         raise ConfigError(key, str(exc)) from None
-    return value
 
 
 def _to_arch_list(key, value):

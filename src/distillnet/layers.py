@@ -5,7 +5,8 @@ and widens no sum; ``LayerStack`` decides the dtype. Activations keep the
 (N, C, H, W) shape until a fully-connected layer flattens them to
 (N, features), but their memory may be channels-last (N, H, W, C): Conv2d
 returns a view of its (N*H*W, C) GEMM rows and builds its input gradient
-channels-last, and ReLU and MaxPool2d keep the order they are given. In both
+channels-last, ReLU and MaxPool2d keep the order they are given, and
+BatchNorm reads a 4-d input as its channels-last rows and returns them. In both
 modes a conv unfolds and multiplies one cache-sized run of whole images at a
 time. Layers cache what backward needs only in train mode; eval-mode forwards
 leave no state behind. A stack clears ``input_grad`` on its first layer,
@@ -304,8 +305,10 @@ class BatchNorm(Layer):
 
     x_hat = (x - mu) / sqrt(var + eps), y = gamma * x_hat + beta.
     Statistics are taken over (N, H, W) for 4-d inputs and over N for 2-d
-    inputs, using the biased variance. Running statistics are tracked with
-    momentum 0.9 and used verbatim in eval mode.
+    inputs, using the biased variance. A 4-d input is read as its (N*H*W, C)
+    channels-last rows, so its bits do not depend on its memory layout, and
+    the output is an (N, C, H, W) view of channels-last rows. Running
+    statistics are tracked with momentum 0.9 and used verbatim in eval mode.
     """
 
     kind = "bn"
@@ -326,41 +329,46 @@ class BatchNorm(Layer):
             ("running_var", self.running_var),
         ]
 
-    def _axes_and_shape(self, x):
-        if x.ndim == 4:
-            return (0, 2, 3), (1, self.channels, 1, 1)
-        if x.ndim == 2:
-            return (0,), (1, self.channels)
-        raise ShapeError(f"bn: expected 2-d or 4-d input, got shape {x.shape}")
-
     def forward(self, x, train, rng):
-        axes, bshape = self._axes_and_shape(x)
+        if x.ndim not in (2, 4):
+            raise ShapeError(f"bn: expected 2-d or 4-d input, got shape {x.shape}")
         if x.shape[1] != self.channels:
             raise ShapeError(f"bn: expected {self.channels} channels, got {x.shape[1]}")
+        rows = self._rows(x)
         if train:
-            mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mu = rows.mean(axis=0)
+            var = rows.var(axis=0)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mu, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu.reshape(bshape)) * inv_std.reshape(bshape)
+        xhat = (rows - mu) * inv_std
         if train:
-            m = x.size // self.channels
-            self.cache = (xhat, inv_std, axes, bshape, m)
-        return self.params["gamma"].reshape(bshape) * xhat + self.params["beta"].reshape(bshape)
+            self.cache = (xhat, inv_std, x.shape)
+        return self._unrows(self.params["gamma"] * xhat + self.params["beta"], x.shape)
 
     def backward(self, dy):
-        xhat, inv_std, axes, bshape, m = self._need_cache()
-        dgamma = (dy * xhat).sum(axis=axes)
-        dbeta = dy.sum(axis=axes)
+        xhat, inv_std, shape = self._need_cache()
+        dy = self._rows(dy)
+        m = dy.shape[0]
+        dgamma = (dy * xhat).sum(axis=0)
+        dbeta = dy.sum(axis=0)
         self.grads["gamma"] = dgamma
         self.grads["beta"] = dbeta
-        scale = (self.params["gamma"] * inv_std).reshape(bshape)
-        dx = scale * (dy - dbeta.reshape(bshape) / m - xhat * dgamma.reshape(bshape) / m)
+        dx = self.params["gamma"] * inv_std * (dy - dbeta / m - xhat * dgamma / m)
         self.cache = None
-        return dx
+        return self._unrows(dx, shape)
+
+    def _rows(self, x):
+        """(N*H*W, C) rows of a 4-d input: a view if channels-last, else a C-order copy."""
+        return x.transpose(0, 2, 3, 1).reshape(-1, self.channels) if x.ndim == 4 else x
+
+    @staticmethod
+    def _unrows(rows, shape):
+        """A 4-d shape's (N, C, H, W) view of channels-last rows; 2-d rows as they are."""
+        n, c, *hw = shape
+        return rows.reshape(n, *hw, c).transpose(0, 3, 1, 2) if hw else rows
 
 
 class Dropout(Layer):

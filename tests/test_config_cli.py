@@ -149,6 +149,15 @@ def test_arch_list_commas_inside_parens(tmp_path):
     assert cfg.student_archs == ["c(3,4)-mp-fc(16)-fc-s", "fc(16)-fc-s", "c(5,8)-s"]
 
 
+def test_arch_strings_load_canonical(tmp_path):
+    # every arch string is rendered canonical as it loads, so later checks
+    # compare it to a checkpoint's or soft-label file's arch as plain text
+    path, _ = write_cfg(tmp_path)
+    cfg = load_config(path, overrides=["mentor.arch=c-c-mp-fc-s", "student.archs=fc-fc-s"])
+    assert cfg.mentor_arch == "c^2-mp-fc-s"
+    assert cfg.student_archs == ["fc^2-s"]
+
+
 def test_seed_shorthand_rewrites_every_seed_key(tmp_path):
     path, _ = write_cfg(tmp_path, extra="perturb.kind=reduce\nperturb.ratio_bound=0.5\n")
     cfg = load_config(path, seed=77)

@@ -565,6 +565,30 @@ def test_batchnorm_gradients_match_finite_differences():
         assert check_layer(bn2, x2, seed=550 + seed) < 1e-4
 
 
+def _channels_last(a):
+    """The same values as ``a``, held in (N, H, W, C) memory as a conv returns them."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("shape", [(32, 16, 14, 14), (64, 32, 7, 7), (8, 6, 5, 5)])
+def test_batchnorm_bits_do_not_depend_on_memory_layout(shape):
+    # equal values as an NCHW array and as a channels-last view give equal
+    # bits in every output, running statistic and gradient, train and eval
+    rng = np.random.default_rng(11)
+    x = rng.normal(loc=1.5, scale=2.0, size=shape)
+    dy = rng.normal(size=shape)
+    runs = []
+    for layout in (np.ascontiguousarray, _channels_last):
+        bn = BatchNorm(shape[1])
+        y = bn.forward(layout(x), True, rng)
+        dx = bn.backward(layout(dy))
+        y_eval = bn.forward(layout(x), False, rng)
+        runs.append([y, bn.running_mean, bn.running_var, dx,
+                     bn.grads["gamma"], bn.grads["beta"], y_eval])
+    for nchw, channels_last in zip(*runs):
+        assert nchw.tobytes() == channels_last.tobytes()
+
+
 def test_dropout_eval_is_identity():
     drop = Dropout(0.5)
     x = np.random.default_rng(0).normal(size=(4, 5, 5))

@@ -40,7 +40,10 @@ def _run_traced(tmp_path, verb):
 
 
 def test_span_tracer_runs_split(tmp_path):
-    assert "cli.split" in _run_traced(tmp_path, "split")
+    # perfbench reports the split verb's data.prepare and splitting.resolve
+    # spans, so split must still load its data through pipeline.prepare_data
+    # and read the manifest it wrote back through pipeline.resolve_split
+    assert {"cli.split", "data.prepare", "splitting.resolve"} <= _run_traced(tmp_path, "split")
 
 
 def test_span_tracer_wraps_the_layers(tmp_path):
