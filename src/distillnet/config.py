@@ -115,7 +115,7 @@ class ExperimentConfig:
     split: SplitConfig = _key("split")
     mentor_train: TrainConfig = _key("mentor_train")
     student_train: TrainConfig = _key("student_train")
-    perturb: PerturbConfig = _key("perturb", None)  # None while perturb.kind=none
+    perturb: PerturbConfig = _key("perturb")
     # mnist
     train_images: str = _key("dataset.train_images", None, kind="mnist")
     train_labels: str = _key("dataset.train_labels", None, kind="mnist")
@@ -250,12 +250,7 @@ def build_experiment_config(mapping):
     for f in fields(ExperimentConfig):
         key, kind = f.metadata["key"], f.metadata["kind"]
         if is_dataclass(f.type):
-            if key == "perturb" and mapping.get("perturb.kind", "none") == "none":
-                # no perturbation, but the other perturb.* keys present are
-                # still converted and range-checked
-                _group({**mapping, "perturb.kind": "reduce"}, key, f.type)
-            else:
-                kwargs[f.name] = _group(mapping, key, f.type)
+            kwargs[f.name] = _group(mapping, key, f.type)
         elif key in mapping:
             kwargs[f.name] = (f.metadata["conv"] or _BY_TYPE[f.type])(key, mapping[key])
         elif f.default is MISSING:

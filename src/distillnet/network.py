@@ -3,9 +3,13 @@
 Grammar (case-sensitive, no whitespace):
 
     spec := unit ("-" unit)*
-    unit := atom | "(" spec ")" pow? | atom pow
-    atom := "c" args? | "mp" args? | "fc" args? | "bn" | "d" args? | "relu" | "s"
+    unit := (kind args? | "(" spec ")") pow?
+    args := "(" num ("," num)* ")"
     pow  := "^" int
+
+``_KINDS`` is where each kind (``c``, ``mp``, ``fc``, ``bn``, ``d``,
+``relu``, ``s``) and its arguments are declared: how many it takes at most
+and the rule they keep.
 
 Examples: ``c-mp-c-mp-fc^2-s``, ``c^2-mp-c^2-mp-c^2-mp-fc^2-s``,
 ``(c-bn-d)^9-fc-bn-d-s``, ``c(5,16)-mp(3)-fc(64)-d(0.3)-s``.
@@ -28,8 +32,10 @@ explicit ``relu`` as the following token. Every spec ends with exactly one
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -38,8 +44,18 @@ from .layers import BatchNorm, Conv2d, Dropout, FullyConnected, MaxPool2d, ReLU,
 
 EVAL_BATCH = 256  # rows per eval-mode forward in LayerStack.predict
 
-_ATOMS = {"c", "mp", "fc", "bn", "d", "relu", "s"}
-_NUM_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
+_KINDS = {  # kind: (most arguments, the rule its arguments keep)
+    "c": (2, "takes (kernel[, out_channels]) positive integers"),
+    "mp": (1, "takes one positive integer argument"),
+    "fc": (1, "takes one positive integer argument"),
+    "d": (1, "takes one drop probability in [0, 1)"),
+    "bn": (0, "takes no arguments"),
+    "relu": (0, "takes no arguments"),
+    "s": (0, "takes no arguments"),
+}
+_NUM = r"(?:\d+\.\d*|\.\d+|\d+)"
+_ATOM = re.compile(rf"([a-z]+)(?:\(({_NUM}(?:,{_NUM})*)\))?")
+_POW = re.compile(r"\^(\d*)")
 
 
 @dataclass(frozen=True)
@@ -50,143 +66,68 @@ class Token:
     args: tuple = ()
 
 
-def _fmt_num(a):
-    return str(a) if isinstance(a, int) else np.format_float_positional(a, trim="-")
-
-
 def _fmt_token(tok):
     if not tok.args:
         return tok.kind
-    return f"{tok.kind}({','.join(_fmt_num(a) for a in tok.args)})"
+    nums = (str(a) if isinstance(a, int) else np.format_float_positional(a, trim="-")
+            for a in tok.args)
+    return f"{tok.kind}({','.join(nums)})"
 
 
 def render_tokens(tokens):
     """Canonical string for a token list: runs of equal tokens collapse to ^n."""
-    parts = []
-    i = 0
-    while i < len(tokens):
-        j = i
-        while j < len(tokens) and tokens[j] == tokens[i]:
-            j += 1
-        run = j - i
-        parts.append(_fmt_token(tokens[i]) + (f"^{run}" if run > 1 else ""))
-        i = j
-    return "-".join(parts)
+    runs = ((tok, sum(1 for _ in run)) for tok, run in groupby(tokens))
+    return "-".join(_fmt_token(tok) + (f"^{n}" if n > 1 else "") for tok, n in runs)
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.i = 0
-        self.atom_no = 0
+def _fail(text, i, msg):
+    raise ParseError(f"{msg} (char {i + 1} of {text!r})")
 
-    def _fail(self, msg, pos=None):
-        pos = self.i if pos is None else pos
-        raise ParseError(f"{msg} (char {pos + 1} of {self.text!r})")
 
-    def _peek(self):
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def parse(self):
-        if not self.text:
-            raise ParseError("empty architecture string")
-        tokens = self._spec()
-        if self.i != len(self.text):
-            self._fail(f"unexpected {self.text[self.i]!r}")
-        return tokens
-
-    def _spec(self):
-        tokens = self._unit()
-        while self._peek() == "-":
-            self.i += 1
-            tokens.extend(self._unit())
-        return tokens
-
-    def _unit(self):
-        if self._peek() == "(":
-            self.i += 1
-            inner = self._spec()
-            if self._peek() != ")":
-                self._fail("expected ')'")
-            self.i += 1
-            return inner * self._pow()
-        tok = self._atom()
-        return [tok] * self._pow()
-
-    def _pow(self):
-        if self._peek() != "^":
-            return 1
-        self.i += 1
-        start = self.i
-        m = re.match(r"\d+", self.text[self.i :])
-        if not m:
-            self._fail("expected an integer repeat count after '^'")
-        self.i += m.end()
-        n = int(m.group(0))
-        if n < 1:
-            self._fail("repeat count must be >= 1", start)
-        return n
-
-    def _atom(self):
-        start = self.i
-        m = re.match(r"[a-z]+", self.text[self.i :])
-        if not m:
-            self._fail("expected a layer token")
-        name = m.group(0)
-        self.i += m.end()
-        self.atom_no += 1
-        if name not in _ATOMS:
-            raise ParseError(
-                f"unknown layer token {name!r} at token {self.atom_no} "
-                f"(char {start + 1} of {self.text!r})"
-            )
-        args = ()
-        if self._peek() == "(":
-            args = self._args()
-        self._check_args(name, args, start)
-        return Token(name, args)
-
-    def _args(self):
-        self.i += 1  # consume "("
-        vals = [self._num()]
-        while self._peek() == ",":
-            self.i += 1
-            vals.append(self._num())
-        if self._peek() != ")":
-            self._fail("expected ')' after argument list")
-        self.i += 1
-        return tuple(vals)
-
-    def _num(self):
-        m = _NUM_RE.match(self.text, self.i)
-        if not m:
-            self._fail("expected a number")
-        self.i = m.end()
-        text = m.group(0)
-        return float(text) if "." in text else int(text)
-
-    def _check_args(self, name, args, start):
-        def fail(msg):
-            self._fail(f"{name}: {msg}", start)
-
-        if name == "c":
-            if len(args) > 2 or not all(isinstance(a, int) and a >= 1 for a in args):
-                fail("takes (kernel[, out_channels]) positive integers")
-        elif name in ("mp", "fc"):
-            if len(args) > 1 or not all(isinstance(a, int) and a >= 1 for a in args):
-                fail("takes one positive integer argument")
-        elif name == "d":
-            if len(args) > 1:
-                fail("takes one probability argument")
-            if args and not 0 <= float(args[0]) < 1:
-                fail("drop probability must be in [0, 1)")
-        elif args:
-            fail("takes no arguments")
+def _spec(text, i):
+    """Read ``unit ("-" unit)*`` from ``text[i:]``; returns (tokens, end)."""
+    tokens = []
+    while True:
+        if text.startswith("(", i):
+            unit, i = _spec(text, i + 1)
+            if not text.startswith(")", i):
+                _fail(text, i, "expected ')'")
+            i += 1
+        else:
+            m = _ATOM.match(text, i)
+            if not m:
+                _fail(text, i, "expected a layer token")
+            kind, nums = m.groups()
+            if kind not in _KINDS:
+                # every letter before i belongs to an atom already read
+                n = len(re.findall("[a-z]+", text[:i])) + 1
+                _fail(text, i, f"unknown layer token {kind!r} at token {n}")
+            if text.startswith("(", m.end()):
+                _fail(text, m.end(), f"{kind}: expected numbers in (...)")
+            args = () if nums is None else tuple(
+                float(a) if "." in a else int(a) for a in nums.split(","))
+            most, rule = _KINDS[kind]
+            if len(args) > most or not all(
+                0 <= a < 1 if kind == "d" else isinstance(a, int) and a >= 1 for a in args
+            ):
+                _fail(text, i, f"{kind}: {rule}")
+            unit, i = [Token(kind, args)], m.end()
+        m = _POW.match(text, i)
+        if m:
+            if not m[1] or int(m[1]) < 1:
+                _fail(text, i + 1, "expected a repeat count >= 1 after '^'")
+            unit, i = unit * int(m[1]), m.end()
+        tokens += unit
+        if not text.startswith("-", i):
+            return tokens, i
+        i += 1
 
 
 def parse_tokens(spec):
     """Expand an architecture string into its flat token list."""
-    tokens = _Parser(spec).parse()
+    tokens, end = _spec(spec, 0)
+    if end != len(spec):
+        _fail(spec, end, f"unexpected {spec[end]!r}")
     if sum(t.kind == "s" for t in tokens) != 1 or tokens[-1].kind != "s":
         raise ParseError(
             f"architecture must end with exactly one trailing 's': {spec!r}"
@@ -194,68 +135,52 @@ def parse_tokens(spec):
     return tokens
 
 
-def _build_layers(tokens, input_shape, num_classes, rng):
+def _build_layers(tokens, shape, num_classes, rng):
+    """The layers for ``tokens``, He-initialized in order. ``shape`` is the
+    (channels, h, w) of each token's input until an fc, then (features,)."""
     layers = []
-    spatial = tuple(input_shape)  # (channels, h, w) until flattened by fc
-    flat = None
-    pools_seen = 0
-    fc_idx = [i for i, t in enumerate(tokens) if t.kind == "fc"]
-    last_fc = fc_idx[-1] if fc_idx else None
-
+    pools = 0
+    last_fc = max((i for i, t in enumerate(tokens) if t.kind == "fc"), default=None)
     for i, tok in enumerate(tokens[:-1]):
-        if tok.kind == "c":
-            if flat is not None:
-                raise ShapeError("c: convolution cannot follow a fully-connected layer")
-            cin, h, w = spatial
-            k = tok.args[0] if tok.args else 3
-            cout = tok.args[1] if len(tok.args) == 2 else 32 * 2**pools_seen
-            pad = k // 2
-            oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-            if oh < 1 or ow < 1:
-                raise ShapeError(f"c: {k}x{k} kernel does not fit {h}x{w} input")
-            layers.append(Conv2d(cin, cout, k, rng))
-            spatial = (cout, oh, ow)
-        elif tok.kind == "mp":
-            if flat is not None:
-                raise ShapeError("mp: pooling cannot follow a fully-connected layer")
-            cin, h, w = spatial
-            win = tok.args[0] if tok.args else 2
-            if h // win < 1 or w // win < 1:
+        kind, args = tok.kind, tok.args
+        if kind in ("c", "mp") and len(shape) == 1:
+            raise ShapeError(f"{kind}: cannot follow a fully-connected layer")
+        if kind == "c":
+            k = args[0] if args else 3
+            cout = args[1] if len(args) == 2 else 32 * 2**pools
+            layers.append(Conv2d(shape[0], cout, k, rng))
+            # pad k//2 keeps h for an odd kernel and grows it by one for an even
+            shape = (cout, shape[1] + 1 - k % 2, shape[2] + 1 - k % 2)
+        elif kind == "mp":
+            win = args[0] if args else 2
+            if min(shape[1:]) < win:
                 raise ShapeError(
-                    f"mp: {win}x{win} window would pool {h}x{w} below 1x1"
+                    f"mp: {win}x{win} window would pool {shape[1]}x{shape[2]} below 1x1"
                 )
             layers.append(MaxPool2d(win))
-            spatial = (cin, h // win, w // win)
-            pools_seen += 1
-        elif tok.kind == "fc":
-            features = flat if flat is not None else int(np.prod(spatial))
-            if i == last_fc:
-                units = num_classes
-                if tok.args and tok.args[0] != num_classes:
-                    raise ShapeError(
-                        f"fc: final fc must have num_classes={num_classes} units, "
-                        f"got {tok.args[0]}"
-                    )
-            else:
-                units = tok.args[0] if tok.args else 128
-            layers.append(FullyConnected(features, units, rng))
-            flat, spatial = units, None
-        elif tok.kind == "bn":
-            channels = spatial[0] if flat is None else flat
-            layers.append(BatchNorm(channels))
-        elif tok.kind == "d":
-            layers.append(Dropout(float(tok.args[0]) if tok.args else 0.5))
-        elif tok.kind == "relu":
+            shape = (shape[0], shape[1] // win, shape[2] // win)
+            pools += 1
+        elif kind == "fc":
+            units = args[0] if args else (num_classes if i == last_fc else 128)
+            if i == last_fc and units != num_classes:
+                raise ShapeError(
+                    f"fc: final fc must have num_classes={num_classes} units, got {units}"
+                )
+            layers.append(FullyConnected(math.prod(shape), units, rng))
+            shape = (units,)
+        elif kind == "bn":
+            layers.append(BatchNorm(shape[0]))
+        elif kind == "d":
+            layers.append(Dropout(float(args[0]) if args else 0.5))
+        elif kind == "relu":
             layers.append(ReLU())
         # implicit activation after conv and after every fc but the last
-        wants_relu = tok.kind == "c" or (tok.kind == "fc" and i != last_fc)
+        wants_relu = kind == "c" or (kind == "fc" and i != last_fc)
         if wants_relu and tokens[i + 1].kind != "relu":
             layers.append(ReLU())
-
-    features = flat if flat is not None else int(np.prod(spatial))
-    if features != num_classes:
+    if math.prod(shape) != num_classes:
         raise ShapeError(
-            f"s: softmax input has {features} features but num_classes is "
+            f"s: softmax input has {math.prod(shape)} features but num_classes is "
             f"{num_classes}; end the spec with an fc"
         )
     layers.append(Softmax())
@@ -377,11 +302,11 @@ def parse_arch(spec, input_shape, num_classes, seed=0):
     by layer in stack order, so equal (spec, shapes, seed) always yields
     bit-identical stacks.
     """
-    if len(input_shape) != 3 or any(int(d) < 1 for d in input_shape):
+    shape = tuple(int(d) for d in input_shape)
+    if len(shape) != 3 or min(shape) < 1:
         raise ValidationError(f"input_shape must be 3 positive dims, got {input_shape}")
     if num_classes < 1:
         raise ValidationError(f"num_classes must be positive, got {num_classes}")
     tokens = parse_tokens(spec)
-    rng = np.random.default_rng(seed)
-    layers = _build_layers(tokens, tuple(int(d) for d in input_shape), num_classes, rng)
-    return LayerStack(layers, tokens, tuple(int(d) for d in input_shape), num_classes)
+    layers = _build_layers(tokens, shape, num_classes, np.random.default_rng(seed))
+    return LayerStack(layers, tokens, shape, num_classes)

@@ -230,7 +230,7 @@ def prepare_data(cfg: ExperimentConfig):
         train_set, test_set = standardize_per_channel(train_set, test_set)
 
     foreign = None
-    if cfg.perturb is not None and cfg.perturb.kind == "inject":
+    if cfg.perturb.kind == "inject":
         if cfg.foreign_batches:
             foreign = load_cifar(cfg.foreign_batches, num_classes=100)
         else:
@@ -259,7 +259,7 @@ def resolve_split(cfg, train_set):
 
 def build_student_pool(cfg, student_set, foreign):
     """Apply the configured perturbation (if any) to the raw student split."""
-    if cfg.perturb is None:
+    if cfg.perturb.kind == "none":
         return student_set
     if cfg.perturb.kind == "reduce":
         return reduce_unbalanced(student_set, cfg.perturb)

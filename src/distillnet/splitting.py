@@ -34,13 +34,13 @@ class SplitConfig:
 
 @dataclass
 class PerturbConfig:
-    kind: str  # "reduce" or "inject"
+    kind: str = "none"  # "none", "reduce" or "inject"
     ratio_bound: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("reduce", "inject"):
-            raise ValidationError(f"kind must be reduce|inject, got {self.kind!r}")
+        if self.kind not in ("none", "reduce", "inject"):
+            raise ValidationError(f"kind must be none|reduce|inject, got {self.kind!r}")
         if not 0 <= self.ratio_bound <= 1:
             raise ValidationError(
                 f"ratio_bound must be in [0, 1], got {self.ratio_bound}"

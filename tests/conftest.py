@@ -1,12 +1,7 @@
-"""Shared pytest wiring: the slow marker and the acceptance-criteria summary."""
+"""Shared pytest wiring: the acceptance-criteria summary. The ``slow``
+marker is registered in pyproject.toml."""
 
 from criteria import CRITERIA
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: long-running dataset-scale checks (env-gated)"
-    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -117,7 +117,7 @@ def test_build_config_defaults(tmp_path):
     assert cfg.student_train.momentum == 0.9
     assert cfg.student_archs == ["fc(32)-fc-s", "fc(16)-fc-s"]
     assert cfg.output_dir == out
-    assert cfg.perturb is None
+    assert cfg.perturb.kind == "none"
     assert cfg.zero_wall_time is True
     assert cfg.sweep_ratios == (0.05, 0.1, 0.2, 0.4, 0.6, 0.8)
 
@@ -222,7 +222,7 @@ def test_config_type_errors_name_the_key(tmp_path):
 def test_perturb_kind_none_means_no_perturbation(tmp_path):
     path, _ = write_cfg(tmp_path)
     cfg = load_config(path, overrides=["perturb.kind=none", "perturb.ratio_bound=0.5"])
-    assert cfg.perturb is None
+    assert cfg.perturb.kind == "none"
     cfg = load_config(path, overrides=["perturb.kind=reduce", "perturb.ratio_bound=0.5"])
     assert (cfg.perturb.kind, cfg.perturb.ratio_bound, cfg.perturb.seed) == ("reduce", 0.5, 0)
 

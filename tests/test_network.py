@@ -1,6 +1,9 @@
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distillnet.errors import ParseError, ShapeError, StateError, ValidationError
@@ -102,9 +105,10 @@ def test_render_parse_round_trip():
         assert render_tokens(parse_tokens(rendered)) == rendered
 
 
-def _units(body):
-    """One spec unit: an atom or a parenthesised body, maybe with ^n."""
-    small = st.integers(1, 64).map(str)
+def _units(body, small):
+    """One spec unit: an atom or a parenthesised body, maybe with ^n; ``small``
+    draws the kernels, windows and widths."""
+    small = small.map(str)
     prob = st.from_regex(r"0?\.[0-9]{1,17}|0\.?", fullmatch=True)
     atom = st.one_of(
         st.tuples(small, st.sampled_from(["", ",8"])).map(lambda a: f"c({a[0]}{a[1]})"),
@@ -118,11 +122,15 @@ def _units(body):
     return st.tuples(unit, power).map("".join)
 
 
-_SPEC_BODY = st.recursive(
-    _units(st.nothing()),
-    lambda body: st.lists(_units(body), min_size=1, max_size=4).map("-".join),
-    max_leaves=8,
-)
+def _spec_body(small):
+    return st.recursive(
+        _units(st.nothing(), small),
+        lambda body: st.lists(_units(body, small), min_size=1, max_size=4).map("-".join),
+        max_leaves=8,
+    )
+
+
+_SPEC_BODY = _spec_body(st.integers(1, 64))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -132,6 +140,43 @@ def test_render_parse_round_trip_property(spec):
     rendered = render_tokens(toks)
     assert parse_tokens(rendered) == toks
     assert render_tokens(parse_tokens(rendered)) == rendered
+
+
+# every character the grammar uses, plus a stray one
+_ARCH_CHARS = "cmpfbndrelus0123456789.,()-^" + " "
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.text(_ARCH_CHARS, max_size=24))
+def test_parse_tokens_returns_tokens_or_raises_parse_error(text):
+    # "(c^99)^99..." is a valid spec; bound the expansion to keep memory small
+    assume(math.prod(int(n) for n in re.findall(r"\^(\d+)", text)) <= 10**4)
+    try:
+        toks = parse_tokens(text)
+    except ParseError:
+        return
+    assert parse_tokens(render_tokens(toks)) == toks
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    _spec_body(st.integers(1, 5)),
+    st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+    st.integers(2, 5),
+)
+def test_shape_walk_agrees_with_the_layers(body, input_shape, classes):
+    # the builder's shape for each token must be what the layer outputs, or
+    # the appended fc's matmul breaks; default conv widths double per pool,
+    # so few pools and tokens keep the weights small
+    spec = f"{body}-fc-s"
+    kinds = [t.kind for t in parse_tokens(spec)]
+    assume(kinds.count("mp") <= 3 and len(kinds) <= 30)
+    try:
+        stack = parse_arch(spec, input_shape, classes, seed=0)
+    except ShapeError:
+        return
+    stack.set_mode("eval")
+    assert stack.forward(np.zeros((2, *input_shape))).shape == (2, classes)
 
 
 def test_render_collapses_runs():
