@@ -2,8 +2,9 @@
 
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
 edits and a ``--seed`` shorthand that rewrites every ``*.seed`` key), loads
-the dataset once for all the stages it runs (``--jobs`` workers inherit it)
-and talks to the other verbs only through files under ``output_dir``:
+the dataset once for all the stages it runs, trains its models one after
+another in its own process and talks to the other verbs only through files
+under ``output_dir``:
 
   split          -> split_manifest.csv (always recomputed)
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
@@ -18,10 +19,10 @@ and talks to the other verbs only through files under ``output_dir``:
   run-all        split, train-mentor, label, train-student, eval, confusion
 
 Exit codes: 0 success; 1 configuration problem (message names the offending
-key, or the flag: --jobs and --reps must be >= 1, --warmup >= 0); 2 a
-required input artifact is missing or stale (made for another mentor.arch);
-3 any other runtime failure. Progress and errors go to stderr, stdout stays
-clean, and every output is written atomically (no partial files).
+key, or the flag: --reps must be >= 1, --warmup >= 0); 2 a required input
+artifact is missing or stale (made for another mentor.arch); 3 any other
+runtime failure. Progress and errors go to stderr, stdout stays clean, and
+every output is written atomically (no partial files).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import argparse
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -59,11 +59,11 @@ def stage_split(cfg, data):
          f" -> {pipeline.manifest_path(cfg.output_dir)}")
 
 
-def _train_and_save(cfg, model_id, arch, inputs=None):
+def _train_and_save(cfg, model_id, arch, inputs):
     """Train arch as model_id by trainer(train_cfg, *head, arch, test_set,
-    progress), inputs being (trainer, train_cfg, head, test_set) - a --jobs
-    worker's own when None; save its checkpoint and epoch CSV."""
-    trainer, train_cfg, head, test_set = inputs or _worker_inputs
+    progress), inputs being (trainer, train_cfg, head, test_set); save its
+    checkpoint and epoch CSV."""
+    trainer, train_cfg, head, test_set = inputs
 
     def progress(log):
         _log(f"[{model_id}] epoch {log.epoch}/{train_cfg.epochs}"
@@ -117,41 +117,28 @@ def _arch_ids(kind, cfg):
             for i in range(len(cfg.student_archs))]
 
 
-_worker_inputs = None  # a --jobs worker's trainer inputs, set as it starts
+def _train_archs(kind, cfg, inputs):
+    """Train each student.archs entry as <kind>_<x>, in turn, on one set of
+    trainer inputs; returns their logs."""
+    return [_train_and_save(cfg, model_id, arch, inputs)
+            for model_id, arch in zip(_arch_ids(kind, cfg), cfg.student_archs)]
 
 
-def _start_worker(*inputs):
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _train_archs(kind, cfg, jobs, inputs):
-    """Train each student.archs entry as <kind>_<x> on one set of trainer
-    inputs (--jobs workers inherit it as they start); returns their logs."""
-    tasks = list(zip(_arch_ids(kind, cfg), cfg.student_archs))
-    if jobs <= 1 or len(tasks) < 2:
-        return [_train_and_save(cfg, *task, inputs) for task in tasks]
-    with ProcessPoolExecutor(min(jobs, len(tasks)), initializer=_start_worker,
-                             initargs=inputs) as workers:
-        futures = [workers.submit(_train_and_save, cfg, *task) for task in tasks]
-        return [fut.result() for fut in futures]
-
-
-def stage_train_student(cfg, data, jobs=1):
+def stage_train_student(cfg, data):
     """Every student learns the mentor's soft labels for the one pool."""
     pool, test_set = _student_pool(cfg, data)
     path = pipeline.soft_labels_path(cfg.output_dir)
     soft = pipeline.load_soft_labels(path)
     _require_mentor_arch(cfg, path, soft.mentor_id, "label")
     inputs = (pipeline.train_student, cfg.student_train, (pool.images, soft), test_set)
-    return _train_archs("student", cfg, jobs, inputs)
+    return _train_archs("student", cfg, inputs)
 
 
-def stage_baseline(cfg, data, jobs=1):
+def stage_baseline(cfg, data):
     """Every baseline learns the pool's hard labels, the students' reference."""
     pool, test_set = _student_pool(cfg, data)
     inputs = (pipeline.train_baseline, cfg.student_train, (pool,), test_set)
-    return _train_archs("baseline", cfg, jobs, inputs)
+    return _train_archs("baseline", cfg, inputs)
 
 
 def _load_models(cfg):
@@ -234,11 +221,11 @@ def stage_sweep(cfg, data):
     _log(f"sweep -> {report.sweep_csv_path(cfg.output_dir)}")
 
 
-def stage_run_all(cfg, data, jobs=1):
+def stage_run_all(cfg, data):
     stage_split(cfg, data)
     stage_train_mentor(cfg, data)
     stage_label(cfg, data)
-    stage_train_student(cfg, data, jobs=jobs)
+    stage_train_student(cfg, data)
     stage_eval(cfg, data)
     stage_confusion(cfg, data)
 
@@ -253,13 +240,13 @@ STAGES = {
     "split": lambda cfg, data, args: stage_split(cfg, data),
     "train-mentor": lambda cfg, data, args: stage_train_mentor(cfg, data),
     "label": lambda cfg, data, args: stage_label(cfg, data),
-    "train-student": lambda cfg, data, args: stage_train_student(cfg, data, jobs=args.jobs),
-    "baseline": lambda cfg, data, args: stage_baseline(cfg, data, jobs=args.jobs),
+    "train-student": lambda cfg, data, args: stage_train_student(cfg, data),
+    "baseline": lambda cfg, data, args: stage_baseline(cfg, data),
     "eval": lambda cfg, data, args: stage_eval(cfg, data),
     "confusion": lambda cfg, data, args: stage_confusion(cfg, data),
     "bench": lambda cfg, data, args: stage_bench(cfg, data, args.reps, args.warmup),
     "sweep": lambda cfg, data, args: stage_sweep(cfg, data),
-    "run-all": lambda cfg, data, args: stage_run_all(cfg, data, jobs=args.jobs),
+    "run-all": lambda cfg, data, args: stage_run_all(cfg, data),
 }
 
 
@@ -276,8 +263,6 @@ def build_parser():
             "--override", action="append", default=[], metavar="KEY=VALUE",
             help="override a config entry (repeatable)",
         )
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes for per-arch training")
         p.add_argument("--seed", type=int, default=None,
                        help="overwrite every *.seed config key")
         if verb == "bench":
@@ -290,7 +275,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag, low in (("jobs", 1), ("reps", 1), ("warmup", 0)):
+        for flag, low in (("reps", 1), ("warmup", 0)):
             if getattr(args, flag, low) < low:
                 parser.error(f"argument --{flag}: must be >= {low}")
     except SystemExit as exc:

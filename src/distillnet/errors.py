@@ -33,9 +33,6 @@ class ConfigError(DistillError):
         self.message = message
         super().__init__(f"{key}: {message}")
 
-    def __reduce__(self):  # two-arg __init__ needs help crossing process pools
-        return (ConfigError, (self.key, self.message))
-
 
 class MissingArtifactError(DistillError):
     """A required input file from an earlier stage is missing or stale."""

@@ -28,6 +28,10 @@ A ReLU is inserted implicitly after every ``c`` and after every ``fc`` except
 the final one (the fc feeding softmax), unless the author already wrote an
 explicit ``relu`` as the following token. Every spec ends with exactly one
 ``s``.
+
+A spec expands to at most ``_MAX_TOKENS`` tokens, nests "(...)" at most
+``_MAX_DEPTH`` deep and writes no integer longer than ``_MAX_DIGITS`` digits;
+past a bound it is a ``ParseError``, raised before the expansion is built.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ from .errors import ParseError, ShapeError, StateError, ValidationError
 from .layers import BatchNorm, Conv2d, Dropout, FullyConnected, MaxPool2d, ReLU, Softmax
 
 EVAL_BATCH = 256  # rows per eval-mode forward in LayerStack.predict
+_MAX_TOKENS = 1000
+_MAX_DEPTH = 32
+_MAX_DIGITS = 9
 
 _KINDS = {  # kind: (most arguments, the rule its arguments keep)
     "c": (2, "takes (kernel[, out_channels]) positive integers"),
@@ -84,12 +91,20 @@ def _fail(text, i, msg):
     raise ParseError(f"{msg} (char {i + 1} of {text!r})")
 
 
-def _spec(text, i):
+def _int(text, i, digits):
+    if len(digits) > _MAX_DIGITS:
+        _fail(text, i, f"a number has more than {_MAX_DIGITS} digits")
+    return int(digits)
+
+
+def _spec(text, i, depth=0):
     """Read ``unit ("-" unit)*`` from ``text[i:]``; returns (tokens, end)."""
     tokens = []
     while True:
         if text.startswith("(", i):
-            unit, i = _spec(text, i + 1)
+            if depth == _MAX_DEPTH:
+                _fail(text, i, f"groups nest deeper than {_MAX_DEPTH}")
+            unit, i = _spec(text, i + 1, depth + 1)
             if not text.startswith(")", i):
                 _fail(text, i, "expected ')'")
             i += 1
@@ -105,7 +120,7 @@ def _spec(text, i):
             if text.startswith("(", m.end()):
                 _fail(text, m.end(), f"{kind}: expected numbers in (...)")
             args = () if nums is None else tuple(
-                float(a) if "." in a else int(a) for a in nums.split(","))
+                float(a) if "." in a else _int(text, i, a) for a in nums.split(","))
             most, rule = _KINDS[kind]
             if len(args) > most or not all(
                 0 <= a < 1 if kind == "d" else isinstance(a, int) and a >= 1 for a in args
@@ -113,11 +128,13 @@ def _spec(text, i):
                 _fail(text, i, f"{kind}: {rule}")
             unit, i = [Token(kind, args)], m.end()
         m = _POW.match(text, i)
-        if m:
-            if not m[1] or int(m[1]) < 1:
-                _fail(text, i + 1, "expected a repeat count >= 1 after '^'")
-            unit, i = unit * int(m[1]), m.end()
-        tokens += unit
+        reps = _int(text, i + 1, m[1] or "0") if m else 1
+        if reps < 1:
+            _fail(text, i + 1, "expected a repeat count >= 1 after '^'")
+        if len(tokens) + len(unit) * reps > _MAX_TOKENS:
+            _fail(text, i, f"expands to more than {_MAX_TOKENS} tokens")
+        tokens += unit * reps
+        i = m.end() if m else i
         if not text.startswith("-", i):
             return tokens, i
         i += 1

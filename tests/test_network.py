@@ -1,6 +1,3 @@
-import math
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -149,8 +146,8 @@ _ARCH_CHARS = "cmpfbndrelus0123456789.,()-^" + " "
 @settings(max_examples=500, deadline=None, database=None)
 @given(st.text(_ARCH_CHARS, max_size=24))
 def test_parse_tokens_returns_tokens_or_raises_parse_error(text):
-    # "(c^99)^99..." is a valid spec; bound the expansion to keep memory small
-    assume(math.prod(int(n) for n in re.findall(r"\^(\d+)", text)) <= 10**4)
+    # no string is skipped: "(c^99)^99..." passes the parser's token bound and
+    # is refused before it is expanded
     try:
         toks = parse_tokens(text)
     except ParseError:

@@ -1,5 +1,6 @@
 """The modules are the API: the package root imports nothing, and each module
-imports on its own, so no import cycle can hide behind a root import order."""
+imports on its own, so no import cycle can hide behind a root import order.
+The CLI trains in its own process and loads no process-pool machinery."""
 
 import os
 import subprocess
@@ -31,3 +32,13 @@ def test_package_root_loads_no_module():
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_on_its_own(module):
     _fresh_python(f"import distillnet.{module}")
+
+
+def test_cli_loads_no_process_pool():
+    # every verb trains its models one after another in its own process, so
+    # no verb should pay for importing a pool (~20 ms of concurrent.futures)
+    loaded = _fresh_python(
+        "import sys, distillnet.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    assert loaded.strip() == "[]"
