@@ -36,8 +36,14 @@ past a bound it is a ``ParseError``, raised before the expansion is built.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 import re
+import sys
+import threading
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -46,7 +52,9 @@ import numpy as np
 from .errors import ParseError, ShapeError, StateError, ValidationError
 from .layers import BatchNorm, Conv2d, Dropout, FullyConnected, MaxPool2d, ReLU, Softmax
 
-EVAL_BATCH = 256  # rows per eval-mode forward in LayerStack.predict
+EVAL_BATCH = 128  # rows per eval-mode forward in LayerStack.predict
+_THREAD_MIN = 256  # values per image below which predict keeps to one thread
+_QUOTE = 40  # characters of the arch string a ParseError quotes around its place
 _MAX_TOKENS = 1000
 _MAX_DEPTH = 32
 _MAX_DIGITS = 9
@@ -87,8 +95,15 @@ def render_tokens(tokens):
     return "-".join(_fmt_token(tok) + (f"^{n}" if n > 1 else "") for tok, n in runs)
 
 
+def _excerpt(text, i):
+    """``text`` quoted in a ``_QUOTE``-character window around position ``i``."""
+    lo = max(0, min(i - _QUOTE // 2, len(text) - _QUOTE))
+    cut = "..." if lo + _QUOTE < len(text) else ""
+    return ("..." if lo else "") + repr(text[lo : lo + _QUOTE]) + cut
+
+
 def _fail(text, i, msg):
-    raise ParseError(f"{msg} (char {i + 1} of {text!r})")
+    raise ParseError(f"{msg} (char {i + 1} of {_excerpt(text, i)})")
 
 
 def _int(text, i, digits):
@@ -116,11 +131,12 @@ def _spec(text, i, depth=0):
             if kind not in _KINDS:
                 # every letter before i belongs to an atom already read
                 n = len(re.findall("[a-z]+", text[:i])) + 1
-                _fail(text, i, f"unknown layer token {kind!r} at token {n}")
+                _fail(text, i, f"unknown layer token {_excerpt(kind, 0)} at token {n}")
             if text.startswith("(", m.end()):
                 _fail(text, m.end(), f"{kind}: expected numbers in (...)")
             args = () if nums is None else tuple(
-                float(a) if "." in a else _int(text, i, a) for a in nums.split(","))
+                float(num[0]) if "." in num[0] else _int(text, m.start(2) + num.start(), num[0])
+                for num in re.finditer(_NUM, nums))
             most, rule = _KINDS[kind]
             if len(args) > most or not all(
                 0 <= a < 1 if kind == "d" else isinstance(a, int) and a >= 1 for a in args
@@ -147,7 +163,7 @@ def parse_tokens(spec):
         _fail(spec, end, f"unexpected {spec[end]!r}")
     if sum(t.kind == "s" for t in tokens) != 1 or tokens[-1].kind != "s":
         raise ParseError(
-            f"architecture must end with exactly one trailing 's': {spec!r}"
+            f"architecture must end with exactly one trailing 's': {_excerpt(spec, len(spec))}"
         )
     return tokens
 
@@ -204,6 +220,57 @@ def _build_layers(tokens, shape, num_classes, rng):
     return layers
 
 
+@functools.cache
+def _blas_threads():
+    """numpy's bundled OpenBLAS thread-count (getter, setter), found once.
+
+    None where there is one core or no such library: ``predict`` then runs
+    its batches on the calling thread alone, with the same bytes, and says
+    so once on stderr.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cores or 1) < 2:
+        why = "one core"
+    else:
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        for name in sorted(os.listdir(libs)) if os.path.isdir(libs) else ():
+            if "openblas" in name:
+                lib = ctypes.CDLL(os.path.join(libs, name))
+                get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+                put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+                if get is not None and put is not None:
+                    put.argtypes = [ctypes.c_int]
+                    return get, put
+        why = "numpy's OpenBLAS thread setter not found"
+    print(f"distillnet: predict runs on one thread ({why})", file=sys.stderr)
+    return None
+
+
+@contextlib.contextmanager
+def _thread_budget(batches, image_values):
+    """The engine's one thread budget: yields how many threads may run
+    ``batches`` eval-mode batches of images of ``image_values`` values.
+
+    ``min(2, cores, batches)``, and while two run, BLAS is held at one
+    thread, so worker threads times BLAS threads never exceed the cores.
+    Images under ``_THREAD_MIN`` values get one thread: their batches are
+    short numpy calls that mostly hold the GIL, so two threads would trade
+    it back and forth (a 1x8x8 stack's 400-image test pass ran slower on
+    two). With one thread, BLAS is left as it is.
+    """
+    blas = _blas_threads() if batches > 1 and image_values >= _THREAD_MIN else None
+    if blas is None:
+        yield 1
+        return
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        yield 2
+    finally:
+        put(old)
+
+
 class LayerStack:
     """A sequential network built from an architecture string.
 
@@ -256,19 +323,48 @@ class LayerStack:
     def predict(self, images):
         """Eval-mode (N, num_classes) probabilities, ``EVAL_BATCH`` rows at a time.
 
-        A row's last bits can depend on the batch it lands in, since BLAS
-        picks its kernel by shape. The stack's previous mode is restored
-        afterwards, also on error.
+        Batch ``i`` runs on thread ``i % 2``, the caller or one worker, while
+        ``_thread_budget`` holds BLAS at one thread; with one batch, small
+        images, one core or no OpenBLAS to hold, the caller runs every
+        batch. Layers keep no state in eval mode, so two batches can run side
+        by side. The batches depend on ``EVAL_BATCH`` alone and keep their
+        shapes, so the bytes do not depend on the thread, BLAS thread or core
+        count; a row's last bits can still depend on the batch it lands in,
+        since BLAS picks its kernel by shape. An error in either thread is
+        raised here after both end, and the stack's previous mode is
+        restored, also on error.
         """
         if len(images) == 0:
             raise ShapeError("empty batch")
+        batches = [images[s : s + EVAL_BATCH] for s in range(0, len(images), EVAL_BATCH)]
+        out, failed = [None] * len(batches), []
+
+        def run(first, step):
+            for i in range(first, len(batches), step):
+                out[i] = self.forward(batches[i])
+
+        def work(first, step):
+            try:
+                run(first, step)
+            except BaseException as exc:  # re-raised on the calling thread
+                failed.append(exc)
+
         prev = self.mode
         self.set_mode("eval")
         try:
-            return np.concatenate(
-                [self.forward(images[s : s + EVAL_BATCH])
-                 for s in range(0, len(images), EVAL_BATCH)]
-            )
+            with _thread_budget(len(batches), math.prod(self.input_shape)) as threads:
+                workers = [threading.Thread(target=work, args=(t, threads))
+                           for t in range(1, threads)]
+                for worker in workers:
+                    worker.start()
+                try:
+                    run(0, threads)
+                finally:
+                    for worker in workers:
+                        worker.join()
+            if failed:
+                raise failed[0]
+            return np.concatenate(out)
         finally:
             self.set_mode(prev)
 

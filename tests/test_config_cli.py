@@ -317,6 +317,7 @@ def test_oversized_archs_are_config_errors(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert f"config error: {override.split('=')[0]}: " in err
     assert "Traceback" not in err
+    assert len(err.strip()) < 200, err  # a window of the arch, not all of it
     assert not os.path.exists(out)
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -453,3 +455,113 @@ def test_predict_runs_eval_mode_and_restores_mode(mode, monkeypatch):
         stack.predict(np.zeros((2, 1, 5, 5)))
     assert stack.mode == mode
 
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS thread-count (getter, setter); skips where predict
+    has no second thread to run (one core, or no such library)."""
+    found = network._blas_threads()
+    if found is None:
+        pytest.skip("predict runs on one thread here")
+    return found
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The number of threads predict starts, read after the call."""
+    _CountingThread.started = 0
+    monkeypatch.setattr(threading, "Thread", _CountingThread)
+    return lambda: _CountingThread.started
+
+
+@pytest.mark.parametrize("eval_batch", [None, 5])
+@pytest.mark.parametrize("arch", ["c(3,8)-mp-c(3,8)-mp-fc(16)-fc-s", "fc(32)-fc(16)-fc-s"])
+def test_threaded_predict_matches_the_sequential_path_bytes(
+        arch, eval_batch, blas, started, monkeypatch):
+    # 3 full batches and a 1-row tail: the worker takes batch 1, the caller
+    # batches 0, 2 and the tail
+    if eval_batch:
+        monkeypatch.setattr(network, "EVAL_BATCH", eval_batch)
+    n = 3 * network.EVAL_BATCH + 1
+    stack = parse_arch(arch, (1, 16, 16), 5, seed=3)
+    x = np.random.default_rng(4).normal(size=(n, 1, 16, 16))
+    got = stack.predict(x)
+    assert started() == 1
+    monkeypatch.setattr(network, "_blas_threads", lambda: None)
+    want = stack.predict(x)
+    assert started() == 1  # the sequential path starts no thread
+    assert got.shape == (n, 5)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_predict_bytes_do_not_depend_on_the_blas_thread_count(blas, monkeypatch):
+    # the sequential path leaves BLAS at the count it finds; each batch's
+    # conv GEMMs are large enough for OpenBLAS to split over two threads
+    get, put = blas
+    monkeypatch.setattr(network, "_blas_threads", lambda: None)
+    stack = parse_arch("c(3,16)-mp-c(3,16)-mp-fc(32)-fc-s", (1, 16, 16), 4, seed=5)
+    x = np.random.default_rng(6).normal(size=(2 * network.EVAL_BATCH + 3, 1, 16, 16))
+    old = get()
+    try:
+        put(1)
+        one = stack.predict(x)
+        put(2)
+        two = stack.predict(x)
+    finally:
+        put(old)
+    assert one.tobytes() == two.tobytes()
+
+
+def test_an_error_in_the_worker_reaches_the_caller_and_everything_is_restored(
+        blas, monkeypatch):
+    get, _ = blas
+    stack = parse_arch("fc(8)-fc-s", (1, 16, 16), 3, seed=0)
+    stack.set_mode("train")
+    forward, seen = stack.forward, []
+
+    def failing_forward(x):
+        seen.append(get())
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker batch failed")
+        return forward(x)
+
+    monkeypatch.setattr(stack, "forward", failing_forward)
+    before = get()
+    with pytest.raises(RuntimeError, match="worker batch failed"):
+        stack.predict(np.zeros((2 * network.EVAL_BATCH + 1, 1, 16, 16)))
+    assert seen and set(seen) == {1}  # BLAS held at one thread while they ran
+    assert get() == before
+    assert stack.mode == "train"
+
+
+@pytest.mark.parametrize("n, shape", [
+    (network.EVAL_BATCH, (1, 16, 16)),       # one batch
+    (3 * network.EVAL_BATCH, (1, 15, 15)),   # images under _THREAD_MIN values
+], ids=["one-batch", "small-images"])
+def test_predict_starts_no_thread_for_one_batch_or_small_images(n, shape, started):
+    stack = parse_arch("fc(8)-fc-s", shape, 3, seed=0)
+    assert stack.predict(np.zeros((n, *shape))).shape == (n, 3)
+    assert started() == 0
+
+
+def test_parse_error_quotes_a_window_and_places_a_number_at_its_first_digit():
+    # a 5,000-digit width: the message stays short and points at the number
+    # (char 4), not at the token that holds it (char 1)
+    spec = "fc(1" + "0" * 5000 + ")-fc-s"
+    with pytest.raises(ParseError) as err:
+        parse_tokens(spec)
+    msg = str(err.value)
+    assert len(msg) < 200
+    assert "char 4 " in msg
+    assert "'fc(1000" in msg
+    with pytest.raises(ParseError) as err:
+        parse_tokens("c-" + "x" * 5000 + "-s")
+    assert len(str(err.value)) < 200 and "char 3 " in str(err.value)
