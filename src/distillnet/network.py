@@ -36,7 +36,6 @@ past a bound it is a ``ParseError``, raised before the expansion is built.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -246,29 +245,48 @@ def _blas_threads():
     return None
 
 
-@contextlib.contextmanager
-def _thread_budget(batches, image_values):
-    """The engine's one thread budget: yields how many threads may run
-    ``batches`` eval-mode batches of images of ``image_values`` values.
+def _run_batches(fn, batches, image_values):
+    """``[fn(b) for b in batches]``, on the engine's one thread budget.
 
-    ``min(2, cores, batches)``, and while two run, BLAS is held at one
-    thread, so worker threads times BLAS threads never exceed the cores.
-    Images under ``_THREAD_MIN`` values get one thread: their batches are
-    short numpy calls that mostly hold the GIL, so two threads would trade
-    it back and forth (a 1x8x8 stack's 400-image test pass ran slower on
-    two). With one thread, BLAS is left as it is.
+    Batch ``i`` runs on thread ``i % 2``, the caller or one worker, while
+    BLAS is held at one thread, so worker threads times BLAS threads never
+    exceed the cores. With one batch, one core, no OpenBLAS to hold, or
+    images under ``_THREAD_MIN`` values, the caller runs every batch and
+    BLAS is left as it is: small images' batches are short numpy calls that
+    mostly hold the GIL, so two threads would trade it back and forth (a
+    1x8x8 stack's 400-image test pass ran slower on two). An error in the
+    worker is raised here after it ends.
     """
-    blas = _blas_threads() if batches > 1 and image_values >= _THREAD_MIN else None
+    blas = _blas_threads() if len(batches) > 1 and image_values >= _THREAD_MIN else None
     if blas is None:
-        yield 1
-        return
+        return [fn(b) for b in batches]
+    out, failed = [None] * len(batches), []
+
+    def run(first):
+        for i in range(first, len(batches), 2):
+            out[i] = fn(batches[i])
+
+    def work():
+        try:
+            run(1)
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
     get, put = blas
     old = get()
     put(1)
+    worker = threading.Thread(target=work)
     try:
-        yield 2
+        worker.start()
+        try:
+            run(0)
+        finally:
+            worker.join()
     finally:
         put(old)
+    if failed:
+        raise failed[0]
+    return out
 
 
 class LayerStack:
@@ -323,48 +341,21 @@ class LayerStack:
     def predict(self, images):
         """Eval-mode (N, num_classes) probabilities, ``EVAL_BATCH`` rows at a time.
 
-        Batch ``i`` runs on thread ``i % 2``, the caller or one worker, while
-        ``_thread_budget`` holds BLAS at one thread; with one batch, small
-        images, one core or no OpenBLAS to hold, the caller runs every
-        batch. Layers keep no state in eval mode, so two batches can run side
-        by side. The batches depend on ``EVAL_BATCH`` alone and keep their
+        ``_run_batches`` runs the batches, on two threads where it can.
+        Layers keep no state in eval mode, so two batches can run side by
+        side. The batches depend on ``EVAL_BATCH`` alone and keep their
         shapes, so the bytes do not depend on the thread, BLAS thread or core
         count; a row's last bits can still depend on the batch it lands in,
-        since BLAS picks its kernel by shape. An error in either thread is
-        raised here after both end, and the stack's previous mode is
+        since BLAS picks its kernel by shape. The stack's previous mode is
         restored, also on error.
         """
         if len(images) == 0:
             raise ShapeError("empty batch")
         batches = [images[s : s + EVAL_BATCH] for s in range(0, len(images), EVAL_BATCH)]
-        out, failed = [None] * len(batches), []
-
-        def run(first, step):
-            for i in range(first, len(batches), step):
-                out[i] = self.forward(batches[i])
-
-        def work(first, step):
-            try:
-                run(first, step)
-            except BaseException as exc:  # re-raised on the calling thread
-                failed.append(exc)
-
         prev = self.mode
         self.set_mode("eval")
         try:
-            with _thread_budget(len(batches), math.prod(self.input_shape)) as threads:
-                workers = [threading.Thread(target=work, args=(t, threads))
-                           for t in range(1, threads)]
-                for worker in workers:
-                    worker.start()
-                try:
-                    run(0, threads)
-                finally:
-                    for worker in workers:
-                        worker.join()
-            if failed:
-                raise failed[0]
-            return np.concatenate(out)
+            return np.concatenate(_run_batches(self.forward, batches, math.prod(self.input_shape)))
         finally:
             self.set_mode(prev)
 

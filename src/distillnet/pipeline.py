@@ -217,8 +217,8 @@ def prepare_data(cfg: ExperimentConfig):
             cfg.dataset_seed, cfg.difficulty,
         )
     elif cfg.dataset_kind == "mnist":
-        train_set = load_idx(cfg.train_images, cfg.train_labels)
-        test_set = load_idx(cfg.test_images, cfg.test_labels)
+        train_set = load_idx(cfg.train_images, cfg.train_labels, num_classes=10)
+        test_set = load_idx(cfg.test_images, cfg.test_labels, num_classes=10)
     else:  # cifar10
         train_set = load_cifar(cfg.train_batches, num_classes=10)
         test_set = load_cifar(cfg.test_batches, num_classes=10)

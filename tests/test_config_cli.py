@@ -308,7 +308,10 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, override):
     "mentor.arch=" + "(" * 2000 + "c" + ")" * 2000 + "-fc-s",
     "mentor.arch=c^" + "9" * 5000 + "-fc-s",
     "student.archs=fc(1" + "0" * 5000 + ")-fc-s",
-], ids=["huge-repeat", "deep-nesting", "5000-digit-repeat", "5000-digit-width"])
+    "mentor.arch=c^1000-s",
+    "mentor.arch=(((c^999)^999)^999)-s",
+], ids=["huge-repeat", "deep-nesting", "5000-digit-repeat", "5000-digit-width",
+        "1001-tokens", "nested-repeats"])
 def test_oversized_archs_are_config_errors(tmp_path, capsys, override):
     # an arch whose expansion, nesting or numbers pass the parser's bounds is
     # refused before anything it sizes is built, never with a traceback
@@ -322,12 +325,15 @@ def test_oversized_archs_are_config_errors(tmp_path, capsys, override):
 
 
 def test_range_edges_and_shape_errors_still_load(tmp_path):
-    # the closed ends of the ranges load, and an architecture that parses
-    # but does not fit its input fails only when the stack is built
+    # the closed ends of the ranges load (c^999-s is exactly 1,000 tokens),
+    # and an architecture that parses but does not fit its input fails only
+    # when the stack is built
     path, _ = write_cfg(tmp_path)
     cfg = load_config(path, overrides=["dataset.difficulty=1", "dataset.classes=2",
-                                       "sweep.ratios=0.01,0.99", "mentor.arch=fc-c-s"])
+                                       "sweep.ratios=0.01,0.99", "mentor.arch=fc-c-s",
+                                       "student.archs=c^999-s"])
     assert (cfg.difficulty, cfg.classes, cfg.mentor_arch) == (1.0, 2, "fc-c-s")
+    assert cfg.student_archs == ["c^999-s"]
 
 
 def test_required_keys():

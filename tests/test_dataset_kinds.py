@@ -1,0 +1,136 @@
+"""The real-data dataset kinds through the CLI, on tiny files written here.
+
+MNIST comes as IDX files and CIFAR as binary batches; these tests write both
+formats themselves, with generated pixels, so nothing is downloaded. They
+cover what only real data reaches: the mnist and cifar10 loaders inside
+``prepare_data``, class subsets with a per-class cap, standardization, the
+reduce perturbation and CIFAR-100 foreign batches.
+"""
+
+import filecmp
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from distillnet.cli import main
+
+TRAIN = """
+split.mentor_fraction=0.5
+mentor.arch=fc(16)-fc-s
+student.archs=fc(16)-fc-s
+mentor_train.epochs=2
+mentor_train.batch_size=16
+student_train.epochs=2
+student_train.batch_size=16
+"""
+
+
+def pixels(rng, labels, values):
+    """Bytes of one image per label: noise around a level set by the label."""
+    base = (np.asarray(labels)[:, None] * 23) % 256
+    noise = rng.integers(-20, 21, size=(len(labels), values))
+    return np.clip(base + noise, 0, 255).astype(np.uint8)
+
+
+def write_idx(tmp_path, name, labels, rng, side=8):
+    """An IDX image/label file pair of side x side images; returns the two paths."""
+    images = tmp_path / f"{name}-images.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, len(labels), side, side)
+                       + pixels(rng, labels, side * side).tobytes())
+    lab = tmp_path / f"{name}-labels.idx"
+    lab.write_bytes(struct.pack(">II", 0x00000801, len(labels)) + bytes(labels))
+    return str(images), str(lab)
+
+
+def write_cifar(path, labels, rng, coarse=None):
+    """A CIFAR-10 batch, or with coarse labels a CIFAR-100 batch."""
+    records = pixels(rng, labels, 3072)
+    heads = [np.asarray(labels, dtype=np.uint8)[:, None]]
+    if coarse is not None:
+        heads.insert(0, np.asarray(coarse, dtype=np.uint8)[:, None])
+    path.write_bytes(np.hstack(heads + [records]).tobytes())
+    return str(path)
+
+
+def mnist_config(tmp_path, train_labels, test_labels):
+    rng = np.random.default_rng(0)
+    train_images, train_label_file = write_idx(tmp_path, "train", train_labels, rng)
+    test_images, test_label_file = write_idx(tmp_path, "test", test_labels, rng)
+    return (
+        "dataset.kind=mnist\n"
+        f"dataset.train_images={train_images}\n"
+        f"dataset.train_labels={train_label_file}\n"
+        f"dataset.test_images={test_images}\n"
+        f"dataset.test_labels={test_label_file}\n"
+        "perturb.kind=reduce\n"
+        "perturb.ratio_bound=0.5\n"
+        + TRAIN
+    )
+
+
+def cifar_config(tmp_path):
+    rng = np.random.default_rng(1)
+    train = write_cifar(tmp_path / "train.bin", [i % 10 for i in range(120)], rng)
+    test = write_cifar(tmp_path / "test.bin", [i % 10 for i in range(40)], rng)
+    fine = [i % 100 for i in range(60)]
+    foreign = write_cifar(tmp_path / "foreign.bin", fine, rng, [f // 5 for f in fine])
+    return (
+        "dataset.kind=cifar10\n"
+        f"dataset.train_batches={train}\n"
+        f"dataset.test_batches={test}\n"
+        "dataset.class_subset=1,3,5,7\n"
+        "dataset.per_class_cap=10\n"
+        "dataset.standardize=true\n"
+        "perturb.kind=inject\n"
+        "perturb.ratio_bound=0.5\n"
+        f"perturb.foreign_batches={foreign}\n"
+        + TRAIN
+    )
+
+
+def run_all(tmp_path, cfg_text, tag):
+    """run-all on cfg_text into tmp_path/tag; returns (exit code, output dir)."""
+    out = str(tmp_path / tag)
+    path = tmp_path / f"{tag}.cfg"
+    path.write_text(cfg_text + f"output_dir={out}\n")
+    return main(["run-all", "--config", str(path)]), out
+
+
+def assert_same_tree(a, b):
+    """diff -r: the same file names, each with the same bytes."""
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert (mismatch, errors) == ([], []), (mismatch, errors)
+    assert "soft_labels.slbl" in match and "summary.csv" in match
+
+
+@pytest.mark.parametrize("kind", ["mnist", "cifar10"])
+def test_real_data_kinds_run_all_and_repeat_byte_for_byte(tmp_path, kind):
+    if kind == "mnist":
+        cfg = mnist_config(tmp_path, [i % 10 for i in range(100)], [i % 10 for i in range(20)])
+    else:
+        cfg = cifar_config(tmp_path)
+    first, out_a = run_all(tmp_path, cfg, "first")
+    second, out_b = run_all(tmp_path, cfg, "second")
+    assert (first, second) == (0, 0)
+    assert_same_tree(out_a, out_b)
+    if kind == "cifar10":  # four classes kept, ten rows each at most
+        _, *rows = open(os.path.join(out_a, "confusion_mentor.csv")).read().splitlines()
+        assert len(rows) == 4
+
+
+def test_mnist_has_ten_classes_whatever_labels_the_files_hold(tmp_path, capsys):
+    # a test file holding classes 0-4 only is still a 10-class test set ...
+    cfg = mnist_config(tmp_path, [i % 10 for i in range(100)], [i % 5 for i in range(20)])
+    assert run_all(tmp_path, cfg, "five")[0] == 0
+    # ... and a label byte past 9 is refused when the files load
+    train = [i % 10 for i in range(100)]
+    train[7] = 200
+    cfg = mnist_config(tmp_path, train, [i % 10 for i in range(20)])
+    code, out = run_all(tmp_path, cfg, "bad")
+    assert code == 3
+    assert "label 200 out of range for num_classes=10" in capsys.readouterr().err
+    assert not os.path.exists(out)

@@ -112,10 +112,14 @@ def assert_every_corruption_refused(raw, load, bad):
     refused(raw + b"\x00\x00")  # trailing bytes
 
 
+def digested(body):
+    """body with the blake2b digest trailer that makes it pass the digest check."""
+    return body + hashlib.blake2b(body, digest_size=16).digest()
+
+
 def restamped(raw, version):
     """raw with another format version and a digest that matches it."""
-    body = raw[:4] + struct.pack("<I", version) + raw[8:-16]
-    return body + hashlib.blake2b(body, digest_size=16).digest()
+    return digested(raw[:4] + struct.pack("<I", version) + raw[8:-16])
 
 
 def test_checkpoint_corruption_detected(tmp_path):
@@ -226,6 +230,34 @@ def test_soft_labels_corruption_detected(tmp_path):
     assert_every_corruption_refused(raw, load_soft_labels, bad)
     with pytest.raises(MissingArtifactError):
         load_soft_labels(str(tmp_path / "ghost.slbl"))
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "soft-labels"])
+def test_malformed_contents_under_a_valid_digest_are_refused(tmp_path, kind):
+    # the digest matches, so only the reader's own bounds catch these: a body
+    # 4 payload bytes long, one 4 bytes short, and a non-ASCII id
+    path = str(tmp_path / "x.bin")
+    if kind == "checkpoint":
+        stack = parse_arch("fc-s", (1, 6, 6), 3, seed=0)
+        save_checkpoint(stack, path)
+        load, id_at, what = load_checkpoint, 12, "arch string"
+        last = stack.state_items()[-1][1].size * 4  # the bias, read last
+    else:
+        soft = SoftLabelSet(np.full((3, 2), 0.5), source_checksum=1, mentor_id="fc-s")
+        save_soft_labels(soft, path)
+        load, id_at, what = load_soft_labels, 28, "mentor id"
+        last = 3 * 2 * 4  # the rows, read in one piece
+    body = open(path, "rb").read()[:-16]
+    non_ascii = body[:id_at] + b"\xff" + body[id_at + 1 :]
+    bad = str(tmp_path / "bad.bin")
+    for data, message in [
+        (body + b"\x00" * 4, "4 trailing bytes"),
+        (body[:-4], rf"truncated \(needed {last} more bytes\)"),
+        (non_ascii, f"{what} is not ASCII"),
+    ]:
+        open(bad, "wb").write(digested(data))
+        with pytest.raises(FormatError, match=message):
+            load(bad)
 
 
 @pytest.mark.parametrize("bad_row", [[1.5, -0.5, 0.0], [np.nan, 0.5, 0.5]])
