@@ -155,6 +155,9 @@ _RULES = (
     ("dataset.difficulty", lambda c: 0 < c.difficulty <= 1, "must be in (0, 1]"),
     ("dataset.shape", lambda c: len(c.shape) == 3 and min(c.shape) >= 1,
      "must be 3 positive dims"),
+    ("dataset.class_subset", lambda c: c.class_subset is None or (
+        min(c.class_subset) >= 0 and len(set(c.class_subset)) == len(c.class_subset)),
+     "must be distinct class ids >= 0"),
     ("dataset.per_class_cap", lambda c: c.per_class_cap is None or c.class_subset,
      "requires dataset.class_subset"),
     ("dataset.per_class_cap", lambda c: c.per_class_cap is None or c.per_class_cap >= 1,
@@ -163,6 +166,8 @@ _RULES = (
     ("perturb.foreign_per_class", lambda c: c.foreign_per_class >= 1, "must be >= 1"),
     ("sweep.ratios", lambda c: all(0 < r < 1 for r in c.sweep_ratios),
      "each ratio must be in (0, 1)"),
+    ("sweep.seeds", lambda c: c.sweep_seeds is None or min(c.sweep_seeds) >= 0,
+     "each seed must be >= 0"),
 )
 
 

@@ -8,10 +8,12 @@ returns a view of its (N*H*W, C) GEMM rows and builds its input gradient
 channels-last, ReLU and MaxPool2d keep the order they are given, and
 BatchNorm reads a 4-d input as its channels-last rows and returns them. In both
 modes a conv unfolds and multiplies one cache-sized run of whole images at a
-time. Layers cache what backward needs only in train mode; eval-mode forwards
-leave no state behind. A stack clears ``input_grad`` on its first layer,
-whose input gradient nothing reads, so a leading conv or fc computes only its
-parameter gradients.
+time. Each kind writes only its maths, ``_forward(x, train, rng) -> (y, cache)``
+and ``_backward(dy, cache) -> dx``, and builds no cache in eval mode; ``Layer``
+keeps a train-mode forward's cache and hands it to the next ``backward`` once,
+so eval-mode forwards leave no state behind. A stack clears ``input_grad`` on
+its first layer, whose input gradient nothing reads, so a leading conv or fc
+computes only its parameter gradients.
 """
 
 from __future__ import annotations
@@ -53,15 +55,19 @@ class Layer:
         return self.param_items()
 
     def forward(self, x, train, rng):
-        raise NotImplementedError
+        """The layer's output; a train-mode call keeps the cache ``backward`` takes."""
+        y, cache = self._forward(x, train, rng)
+        if train:
+            self.cache = cache
+        return y
 
     def backward(self, dy):
-        raise NotImplementedError
-
-    def _need_cache(self):
-        if self.cache is None:
+        """The input gradient (None where ``input_grad`` is off); sets ``grads``.
+        Takes the last train-mode forward's cache, so a second call raises."""
+        cache, self.cache = self.cache, None
+        if cache is None:
             raise StateError(f"{self.kind}: backward called without a train-mode forward")
-        return self.cache
+        return self._backward(dy, cache)
 
 
 # Most column bytes in one Conv2d run: few enough that its GEMM reads them from cache.
@@ -134,7 +140,7 @@ class Conv2d(Layer):
         """The weight as (out, k*k*in) rows, columns in (u, v, c) order."""
         return self.params["weight"].transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
 
-    def forward(self, x, train, rng):
+    def _forward(self, x, train, rng):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"c: expected (N, {self.in_channels}, H, W), got shape {x.shape}")
         n, c, h, w = x.shape
@@ -142,21 +148,20 @@ class Conv2d(Layer):
         oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
         w_rows = self._weight_rows().T
         y = np.empty((n * oh * ow, self.out_channels), dtype=np.result_type(x, w_rows))
-        if train:
-            self.cache = (np.empty((len(y), k * k * c), dtype=x.dtype), x.shape, oh, ow)
+        cols = np.empty((len(y), k * k * c), dtype=x.dtype) if train else None
         for s, e in _runs(n, oh * ow * k * k * c * x.itemsize):
             rows = slice(s * oh * ow, e * oh * ow)
-            cols = _im2col(x[s:e], k, p, out=self.cache[0][rows] if train else None)
-            np.matmul(cols, w_rows, out=y[rows])
+            run = _im2col(x[s:e], k, p, out=cols[rows] if train else None)
+            np.matmul(run, w_rows, out=y[rows])
             y[rows] += self.params["bias"]
-            del cols  # before the next run's columns are built
-        return y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+            del run  # before the next run's columns are built
+        y = y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        return y, (cols, x.shape) if train else None
 
-    def backward(self, dy):
-        cols, x_shape, oh, ow = self._need_cache()
-        self.cache = None
-        n, c, h, w_in = x_shape
+    def _backward(self, dy, cache):
+        cols, (n, c, h, w_in) = cache
         k, p = self.kernel, self.pad
+        oh, ow = dy.shape[2:]
 
         dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         dw = (dy_mat.T @ cols).reshape(self.out_channels, k, k, c)
@@ -212,16 +217,14 @@ class MaxPool2d(Layer):
             for v in range(win)
         ]
 
-    def forward(self, x, train, rng):
+    def _forward(self, x, train, rng):
         slabs = self._slabs(x)
         out = slabs[0].copy(order="K")
         for slab in slabs[1:]:
             # maximum returns its second operand when both compare equal
             # (+0.0 against -0.0), so the earlier slab's value is kept.
             np.maximum(slab, out, out=out)
-        if train:
-            self.cache = (self._first_max(slabs, out), x.shape)
-        return out
+        return out, (self._first_max(slabs, out), x.shape) if train else None
 
     @staticmethod
     def _first_max(slabs, out):
@@ -236,8 +239,8 @@ class MaxPool2d(Layer):
             idx += missed
         return idx
 
-    def backward(self, dy):
-        idx, x_shape = self._need_cache()
+    def _backward(self, dy, cache):
+        idx, x_shape = cache
         # idx has the input's memory order, so dx gets it too
         dx = np.zeros_like(idx, dtype=dy.dtype, shape=x_shape)
         # Select on the bit patterns: dy's bits times 1 or 0 give dy or +0.0
@@ -246,7 +249,6 @@ class MaxPool2d(Layer):
         hit = np.empty_like(idx, dtype=bool)
         for k, slab in enumerate(self._slabs(dx)):
             np.multiply(bits, np.equal(idx, k, out=hit), out=slab.view(bits.dtype))
-        self.cache = None
         return dx
 
 
@@ -264,21 +266,19 @@ class FullyConnected(Layer):
         )
         self.params["bias"] = np.zeros(out_features)
 
-    def forward(self, x, train, rng):
+    def _forward(self, x, train, rng):
         xf = x.reshape(x.shape[0], -1)
         if xf.shape[1] != self.in_features:
             raise ShapeError(
                 f"fc: expected {self.in_features} input features, got {xf.shape[1]}"
             )
-        if train:
-            self.cache = (xf, x.shape)
-        return xf @ self.params["weight"] + self.params["bias"]
+        y = xf @ self.params["weight"] + self.params["bias"]
+        return y, (xf, x.shape) if train else None
 
-    def backward(self, dy):
-        xf, x_shape = self._need_cache()
+    def _backward(self, dy, cache):
+        xf, x_shape = cache
         self.grads["weight"] = xf.T @ dy
         self.grads["bias"] = dy.sum(axis=0)
-        self.cache = None
         if not self.input_grad:
             return None
         return (dy @ self.params["weight"].T).reshape(x_shape)
@@ -289,14 +289,10 @@ class ReLU(Layer):
 
     kind = "relu"
 
-    def forward(self, x, train, rng):
-        if train:
-            self.cache = x > 0
-        return np.maximum(x, 0.0)
+    def _forward(self, x, train, rng):
+        return np.maximum(x, 0.0), x > 0 if train else None
 
-    def backward(self, dy):
-        mask = self._need_cache()
-        self.cache = None
+    def _backward(self, dy, mask):
         return dy * mask
 
 
@@ -329,7 +325,7 @@ class BatchNorm(Layer):
             ("running_var", self.running_var),
         ]
 
-    def forward(self, x, train, rng):
+    def _forward(self, x, train, rng):
         if x.ndim not in (2, 4):
             raise ShapeError(f"bn: expected 2-d or 4-d input, got shape {x.shape}")
         if x.shape[1] != self.channels:
@@ -344,12 +340,11 @@ class BatchNorm(Layer):
             mu, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (rows - mu) * inv_std
-        if train:
-            self.cache = (xhat, inv_std, x.shape)
-        return self._unrows(self.params["gamma"] * xhat + self.params["beta"], x.shape)
+        y = self._unrows(self.params["gamma"] * xhat + self.params["beta"], x.shape)
+        return y, (xhat, inv_std, x.shape) if train else None
 
-    def backward(self, dy):
-        xhat, inv_std, shape = self._need_cache()
+    def _backward(self, dy, cache):
+        xhat, inv_std, shape = cache
         dy = self._rows(dy)
         m = dy.shape[0]
         dgamma = (dy * xhat).sum(axis=0)
@@ -357,7 +352,6 @@ class BatchNorm(Layer):
         self.grads["gamma"] = dgamma
         self.grads["beta"] = dbeta
         dx = self.params["gamma"] * inv_std * (dy - dbeta / m - xhat * dgamma / m)
-        self.cache = None
         return self._unrows(dx, shape)
 
     def _rows(self, x):
@@ -380,26 +374,21 @@ class Dropout(Layer):
         super().__init__()
         self.p = p
 
-    def forward(self, x, train, rng):
+    def _forward(self, x, train, rng):
         if not train:
-            return x
+            return x, None
         mask = rng.random(x.shape) >= self.p
-        self.cache = mask
-        return x * mask / (1.0 - self.p)
+        return x * mask / (1.0 - self.p), mask
 
-    def backward(self, dy):
-        mask = self._need_cache()
-        self.cache = None
+    def _backward(self, dy, mask):
         return dy * mask / (1.0 - self.p)
 
 
 class Softmax(Layer):
-    """Final layer: flattens, then row-wise softmax to class probabilities."""
+    """Final layer: flattens, then row-wise softmax to class probabilities. It
+    caches nothing: its backward is fused with cross-entropy in LayerStack."""
 
     kind = "s"
 
-    def forward(self, x, train, rng):
-        return softmax(x.reshape(x.shape[0], -1))
-
-    def backward(self, dy):  # pragma: no cover - handled by LayerStack.backward
-        raise StateError("softmax backward is fused with cross-entropy in LayerStack")
+    def _forward(self, x, train, rng):
+        return softmax(x.reshape(x.shape[0], -1)), None

@@ -41,6 +41,7 @@ from .data import (
     subset_classes,
 )
 from .errors import (
+    ConfigError,
     FormatError,
     MissingArtifactError,
     ShapeError,
@@ -141,8 +142,9 @@ class _Cursor:
             raise FormatError(f"{path}: digest mismatch (corrupt or truncated)")
 
     def take(self, n):
-        if self.pos + n > len(self.buf):
-            raise FormatError(f"{self.path}: truncated (needed {n} more bytes)")
+        short = self.pos + n - len(self.buf)
+        if short > 0:
+            raise FormatError(f"{self.path}: truncated ({short} bytes short of a {n}-byte read)")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -224,8 +226,11 @@ def prepare_data(cfg: ExperimentConfig):
         test_set = load_cifar(cfg.test_batches, num_classes=10)
 
     if cfg.class_subset:
-        train_set = subset_classes(train_set, cfg.class_subset, cfg.per_class_cap)
-        test_set = subset_classes(test_set, cfg.class_subset)
+        try:
+            train_set = subset_classes(train_set, cfg.class_subset, cfg.per_class_cap)
+            test_set = subset_classes(test_set, cfg.class_subset)
+        except ValidationError as exc:  # a class the data does not hold
+            raise ConfigError("dataset.class_subset", str(exc)) from None
     if cfg.standardize:
         train_set, test_set = standardize_per_channel(train_set, test_set)
 

@@ -287,7 +287,8 @@ def test_perturb_foreign_keys_checked_without_injection(tmp_path, override):
     "dataset.classes=1", "dataset.per_class=0", "dataset.test_per_class=0",
     "dataset.difficulty=0", "dataset.difficulty=1.5",
     "dataset.shape=0,8,8", "dataset.shape=1,8",
-    "sweep.ratios=0.2,1.5", "sweep.ratios=0",
+    "sweep.ratios=0.2,1.5", "sweep.ratios=0", "sweep.seeds=-1",
+    "dataset.class_subset=1,1", "dataset.class_subset=-1",
 ])
 def test_bad_values_rejected_at_load(tmp_path, capsys, override):
     # a malformed architecture or an out-of-range value is a config error
@@ -300,6 +301,19 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, override):
     verb = "sweep" if key == "sweep.ratios" else "run-all"
     assert run_cli(verb, "--config", path, "--override", override) == 1
     assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("classes", ["99", "0,4"])
+def test_class_subset_the_data_lacks_is_a_config_error(tmp_path, capsys, classes):
+    # only the loaded data shows that a class is missing (the config holds
+    # classes 0-3): still a config error naming its key, before anything is
+    # written, never a traceback
+    path, out = write_cfg(tmp_path)
+    assert run_cli("split", "--config", path, "--override", f"dataset.class_subset={classes}") == 1
+    err = capsys.readouterr().err
+    assert "config error: dataset.class_subset: class " in err
+    assert "Traceback" not in err
     assert not os.path.exists(out)
 
 

@@ -647,6 +647,40 @@ def test_eval_forward_leaves_no_cache():
         conv.backward(np.zeros((1, 2, 4, 4)))
 
 
+_BACKWARD_KINDS = {
+    "c": lambda rng: Conv2d(3, 4, 3, rng),
+    "mp": lambda rng: MaxPool2d(2),
+    "fc": lambda rng: FullyConnected(48, 5, rng),
+    "relu": lambda rng: ReLU(),
+    "bn": lambda rng: BatchNorm(3),
+    "d": lambda rng: Dropout(0.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BACKWARD_KINDS))
+def test_backward_takes_the_train_forward_cache_once(kind):
+    # Layer keeps the last train-mode forward's cache: an eval forward on other
+    # input in between changes no byte of dx or of the gradients, and the
+    # cache is handed over once, so a second backward raises
+    rng = np.random.default_rng(3)
+    layer = _BACKWARD_KINDS[kind](rng)
+    x, other = rng.normal(size=(2, 2, 3, 4, 4))
+    dy = rng.normal(size=layer.forward(x, True, np.random.default_rng(5)).shape)
+
+    def run(eval_between):
+        layer.forward(x, True, np.random.default_rng(5))  # same dropout mask
+        if eval_between:
+            layer.forward(other, False, np.random.default_rng(6))
+        dx = layer.backward(dy)
+        with pytest.raises(StateError):
+            layer.backward(dy)
+        return [dx] + [layer.grads[name] for name, _ in layer.param_items()]
+
+    direct, interleaved = run(False), run(True)
+    for got, want in zip(interleaved, direct):
+        _assert_same_bytes(got, want)
+
+
 def test_softmax_cross_entropy_fused_gradient():
     # d(mean CE)/d(logits) = (softmax(z) - target) / N, checked against FD
     from distillnet.training import cross_entropy

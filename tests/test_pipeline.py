@@ -252,7 +252,7 @@ def test_malformed_contents_under_a_valid_digest_are_refused(tmp_path, kind):
     bad = str(tmp_path / "bad.bin")
     for data, message in [
         (body + b"\x00" * 4, "4 trailing bytes"),
-        (body[:-4], rf"truncated \(needed {last} more bytes\)"),
+        (body[:-4], rf"truncated \(4 bytes short of a {last}-byte read\)"),
         (non_ascii, f"{what} is not ASCII"),
     ]:
         open(bad, "wb").write(digested(data))

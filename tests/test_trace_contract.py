@@ -49,15 +49,20 @@ def test_span_tracer_runs_split(tmp_path):
 def test_span_tracer_wraps_the_layers(tmp_path):
     # the tracer's span labels take exactly Layer.forward(x, train, rng) and
     # Layer.backward(dy), so a changed layer signature fails the traced verbs;
-    # every verb the benchmark traces must record its stage span, eval and
-    # confusion must still reach evaluate and confusion_matrix through cli, and
-    # train() must still look up training._test_metrics in its own module
+    # each kind inherits both from Layer, and the tracer must still wrap them
+    # on every kind the verbs run; every verb the benchmark traces must record
+    # its stage span, eval and confusion must still reach evaluate and
+    # confusion_matrix through cli, and train() must still look up
+    # training._test_metrics in its own module
     verbs = ("split", "train-mentor", "label", "train-student", "baseline",
              "eval", "confusion")
     names = set().union(*(_run_traced(tmp_path, verb) for verb in verbs))
     assert {f"cli.{verb}" for verb in verbs} <= names
-    assert {"layers.c.bwd", "layers.mp.bwd", "layers.c.fwd_eval",
-            "evaluation.evaluate", "evaluation.confusion", "training.test_eval"} <= names
+    layer_spans = {f"layers.{kind}.{span}" for kind in ("c", "mp", "fc", "relu")
+                   for span in ("fwd_train", "fwd_eval", "bwd")}
+    layer_spans |= {"layers.s.fwd_train", "layers.s.fwd_eval"}
+    assert layer_spans <= names
+    assert {"evaluation.evaluate", "evaluation.confusion", "training.test_eval"} <= names
 
 
 def test_soft_label_row_count_sits_where_the_benchmark_reads_it(tmp_path):
