@@ -11,9 +11,10 @@ modes a conv unfolds and multiplies one cache-sized run of whole images at a
 time. Each kind writes only its maths, ``_forward(x, train, rng) -> (y, cache)``
 and ``_backward(dy, cache) -> dx``, and builds no cache in eval mode; ``Layer``
 keeps a train-mode forward's cache and hands it to the next ``backward`` once,
-so eval-mode forwards leave no state behind. A stack clears ``input_grad`` on
-its first layer, whose input gradient nothing reads, so a leading conv or fc
-computes only its parameter gradients.
+so eval-mode forwards leave no state behind. The softmax's ``dy`` is the target
+rows: it returns the fused softmax + cross-entropy gradient. A stack clears
+``input_grad`` on its first layer, whose input gradient nothing reads, so a
+leading conv or fc computes only its parameter gradients.
 """
 
 from __future__ import annotations
@@ -385,10 +386,18 @@ class Dropout(Layer):
 
 
 class Softmax(Layer):
-    """Final layer: flattens, then row-wise softmax to class probabilities. It
-    caches nothing: its backward is fused with cross-entropy in LayerStack."""
+    """Final layer: flattens, then row-wise softmax to class probabilities. Its
+    backward takes target rows and returns the fused softmax + mean
+    cross-entropy gradient, (probs - targets) / N, in its input's shape."""
 
     kind = "s"
 
     def _forward(self, x, train, rng):
-        return softmax(x.reshape(x.shape[0], -1)), None
+        probs = softmax(x.reshape(x.shape[0], -1))
+        return probs, (probs, x.shape) if train else None
+
+    def _backward(self, targets, cache):
+        probs, x_shape = cache
+        if targets.shape != probs.shape:
+            raise ShapeError(f"targets {targets.shape} do not match output {probs.shape}")
+        return ((probs - targets) / targets.shape[0]).reshape(x_shape)

@@ -48,7 +48,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, StateError, ValidationError
+from .errors import ParseError, ShapeError, ValidationError
 from .layers import BatchNorm, Conv2d, Dropout, FullyConnected, MaxPool2d, ReLU, Softmax
 
 EVAL_BATCH = 128  # rows per eval-mode forward in LayerStack.predict
@@ -213,7 +213,7 @@ def _build_layers(tokens, shape, num_classes, rng):
     if math.prod(shape) != num_classes:
         raise ShapeError(
             f"s: softmax input has {math.prod(shape)} features but num_classes is "
-            f"{num_classes}; end the spec with an fc"
+            f"{num_classes}; the layer before s must give num_classes values"
         )
     layers.append(Softmax())
     return layers
@@ -306,14 +306,11 @@ class LayerStack:
         self.arch = render_tokens(tokens)
         self.mode = "train"
         self.rng = np.random.default_rng(0)
-        self._probs = None  # the last train-mode output, until backward reads it
 
     def set_mode(self, mode):
         if mode not in ("train", "eval"):
             raise ValidationError(f"unknown stack mode {mode!r}")
         self.mode = mode
-        if mode == "eval":
-            self._probs = None
 
     @property
     def dtype(self):
@@ -334,20 +331,19 @@ class LayerStack:
         train = self.mode == "train"
         for layer in self.layers:
             x = layer.forward(x, train, self.rng)
-        if train:
-            self._probs = x
         return x
 
     def predict(self, images):
         """Eval-mode (N, num_classes) probabilities, ``EVAL_BATCH`` rows at a time.
 
         ``_run_batches`` runs the batches, on two threads where it can.
-        Layers keep no state in eval mode, so two batches can run side by
-        side. The batches depend on ``EVAL_BATCH`` alone and keep their
-        shapes, so the bytes do not depend on the thread, BLAS thread or core
-        count; a row's last bits can still depend on the batch it lands in,
-        since BLAS picks its kernel by shape. The stack's previous mode is
-        restored, also on error.
+        Layers keep no eval-mode state, so two batches can run side by side
+        and a pending train step's caches stay for its ``backward``. The
+        batches depend on ``EVAL_BATCH`` alone and keep their shapes, so the
+        bytes do not depend on the thread, BLAS thread or core count; a row's
+        last bits can still depend on the batch it lands in, since BLAS picks
+        its kernel by shape. The stack's previous mode is restored, also on
+        error.
         """
         if len(images) == 0:
             raise ShapeError("empty batch")
@@ -360,25 +356,16 @@ class LayerStack:
             self.set_mode(prev)
 
     def backward(self, targets):
-        """Gradient of mean cross-entropy w.r.t. every parameter.
+        """Gradient of mean cross-entropy against ``targets`` w.r.t. every parameter.
 
-        Starts from d(loss)/d(logits) = (probs - targets) / N, which is the
-        exact gradient of mean cross-entropy through the final softmax, and
-        propagates it through the remaining layers in reverse. Returns one
-        gradient array per parameter, aligned with ``parameters()``.
+        Runs every layer's backward in reverse on its last train-mode
+        forward's cache, starting from the softmax's on the targets. A
+        ``ShapeError`` there uses up its cache, so a retry raises
+        ``StateError``. Returns one gradient per parameter, as ``parameters()``.
         """
-        if self.mode != "train" or self._probs is None:
-            raise StateError("backward requires a preceding train-mode forward")
-        targets = np.asarray(targets, dtype=self.dtype)
-        if targets.shape != self._probs.shape:
-            raise ShapeError(
-                f"targets shape {targets.shape} does not match output "
-                f"shape {self._probs.shape}"
-            )
-        grad = (self._probs - targets) / targets.shape[0]
-        for layer in reversed(self.layers[:-1]):
+        grad = np.asarray(targets, dtype=self.dtype)
+        for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        self._probs = None
         return self.gradients()
 
     def parameters(self):

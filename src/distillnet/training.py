@@ -151,15 +151,15 @@ def train(stack, images, targets, test_set, cfg, progress=None):
         loss_sum = 0.0
         for batch, start in enumerate(range(0, n, cfg.batch_size), 1):
             sel = order[start : start + cfg.batch_size]
-            probs = stack.forward(images[sel])
-            loss = cross_entropy(probs, targets[sel])
+            batch_targets = targets[sel]
+            loss = cross_entropy(stack.forward(images[sel]), batch_targets)
             if not np.isfinite(loss):
                 raise ValidationError(
                     f"{stack.arch}: training loss is {loss!r} at epoch {epoch}, "
                     f"batch {batch}; training diverged"
                 )
             loss_sum += loss * sel.size
-            grads = stack.backward(targets[sel])
+            grads = stack.backward(batch_targets)
             sgd_step(params, grads, velocity, epoch_cfg)
         test_accuracy, test_loss, _ = _test_metrics(stack, test_set)
         log = EpochLog(epoch, loss_sum / n, test_loss, test_accuracy,

@@ -528,6 +528,16 @@ def test_cli_exit_codes(tmp_path):
     ) == 3
 
 
+def test_cli_trains_a_mentor_whose_softmax_follows_a_pool(tmp_path):
+    # mp(6) leaves (N, 4, 1, 1), the softmax's 4 classes: its gradient must
+    # reach the pool in that shape
+    path, out = write_cfg(tmp_path)
+    assert run_cli("split", "--config", path) == 0
+    assert run_cli("train-mentor", "--config", path,
+                   "--override", "mentor.arch=c(3,4)-mp(6)-s") == 0
+    assert os.path.exists(os.path.join(out, "mentor.ckpt"))
+
+
 def test_cli_label_refuses_a_mentor_of_another_arch(tmp_path, capsys):
     # a mentor.ckpt left by another mentor.arch is stale: exit 2, not labels
     # from the wrong mentor; an equal arch spelled another way is the same one

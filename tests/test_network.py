@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from distillnet.errors import ParseError, ShapeError, StateError, ValidationError
@@ -339,6 +339,25 @@ def test_backward_target_shape_checked():
         stack.backward(np.full((2, 4), 0.25))
 
 
+def test_predict_between_train_forward_and_backward_keeps_the_step():
+    # each layer, softmax included, owns its pending train-mode cache, so an
+    # eval pass in between changes no byte of the step's gradients
+    stack = parse_arch("c(3,4)-mp-fc(8)-bn-d(0.3)-fc-s", (1, 6, 6), 3, seed=2)
+    x, other = np.random.default_rng(4).random((2, 5, 1, 6, 6))
+    targets = np.eye(3)[[0, 1, 2, 0, 1]]
+
+    def step(eval_between):
+        stack.rng = np.random.default_rng(7)  # same dropout mask
+        stack.forward(x)
+        if eval_between:
+            stack.predict(other)
+        return [g.copy() for g in stack.backward(targets)]
+
+    direct, interleaved = step(False), step(True)
+    for got, want in zip(interleaved, direct):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_stack_gradcheck_end_to_end():
     # one integration FD pass through conv, pool, bn, dropout and both fcs
     from gradcheck import max_rel_err, numeric_grad
@@ -394,6 +413,60 @@ def test_stack_gradcheck_through_multichannel_convs():
     assert returned == [None]
     for a, p in zip(analytic, stack.parameters()):
         assert max_rel_err(a, numeric_grad(loss, p)) < 1e-4
+
+
+def test_stack_gradcheck_softmax_after_a_pool():
+    # a pool gives the softmax a (N, K, 1, 1) activation: the fused gradient
+    # must come back in that shape, not as (N, K) rows
+    from gradcheck import distinct_grid, max_rel_err, numeric_grad
+    from distillnet.training import cross_entropy
+
+    stack = parse_arch("c(3,3)-mp(4)-s", (1, 4, 4), 3, seed=6)
+    stack.layers[0].params["bias"][:] = [0.1, -0.2, 0.3]  # off the relu kink
+    x = distinct_grid((3, 1, 4, 4), seed=2) - 0.2
+    targets = np.eye(3)
+
+    def loss():
+        return cross_entropy(stack.forward(x), targets)
+
+    loss()
+    analytic = [g.copy() for g in stack.backward(targets)]
+    for a, p in zip(analytic, stack.parameters()):
+        assert max_rel_err(a, numeric_grad(loss, p)) < 1e-4
+
+
+_TRAIN_TOKEN = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda a: f"c({a[0]},{a[1]})"),
+    st.integers(1, 6).map(lambda w: f"mp({w})"),
+    st.integers(1, 4).map(lambda n: f"fc({n})"),
+    st.sampled_from(["fc", "relu", "bn", "d(0.5)"]),
+)
+
+
+# most drawn archs do not end in num_classes values and are refused by the
+# builder, so the filter health check is off
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    st.lists(_TRAIN_TOKEN, max_size=5),
+    st.tuples(st.integers(1, 2), st.integers(1, 6), st.integers(1, 6)),
+    st.integers(2, 3),
+)
+def test_every_built_stack_takes_a_train_step(tokens, input_shape, classes):
+    # whatever layer feeds the softmax, one forward + backward gives each
+    # parameter one finite gradient of its own shape
+    try:
+        stack = parse_arch("-".join(tokens + ["s"]), input_shape, classes, seed=0)
+    except ShapeError:
+        assume(False)
+    rng = np.random.default_rng(1)
+    stack.forward(rng.normal(size=(3, *input_shape)))
+    grads = stack.backward(np.eye(classes)[[0, 1, 1]])
+    params = stack.parameters()
+    assert len(grads) == len(params)
+    for g, p in zip(grads, params):
+        assert g.shape == p.shape
+        assert np.isfinite(g).all()
 
 
 def test_parse_arch_validates_shape_and_classes():

@@ -58,9 +58,8 @@ def test_span_tracer_wraps_the_layers(tmp_path):
              "eval", "confusion")
     names = set().union(*(_run_traced(tmp_path, verb) for verb in verbs))
     assert {f"cli.{verb}" for verb in verbs} <= names
-    layer_spans = {f"layers.{kind}.{span}" for kind in ("c", "mp", "fc", "relu")
+    layer_spans = {f"layers.{kind}.{span}" for kind in ("c", "mp", "fc", "relu", "s")
                    for span in ("fwd_train", "fwd_eval", "bwd")}
-    layer_spans |= {"layers.s.fwd_train", "layers.s.fwd_eval"}
     assert layer_spans <= names
     assert {"evaluation.evaluate", "evaluation.confusion", "training.test_eval"} <= names
 
