@@ -3,7 +3,10 @@
 Config files are plain text, one ``namespaced.key=value`` per line, with
 ``#`` comment lines and blank lines ignored. ``--override key=value`` on the
 CLI edits the parsed mapping and is defined to be equivalent to editing the
-file. All validation failures raise ConfigError carrying the offending key.
+file. Each key's type, default and rule are declared once, on its field of
+``ExperimentConfig`` or of the ``SplitConfig``, ``PerturbConfig`` and
+``TrainConfig`` key groups; ``errors.broken_rule`` checks them, here and at
+direct construction. Every failure here raises ConfigError naming its key.
 """
 
 # No ``from __future__ import annotations``: each field's ``type`` must be the
@@ -11,7 +14,7 @@ file. All validation failures raise ConfigError carrying the offending key.
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, at_least, broken_rule
 from .network import parse_tokens, render_tokens
 from .splitting import PerturbConfig, SplitConfig
 from .training import TrainConfig
@@ -90,17 +93,12 @@ def _to_arch_list(key, value):
     return [_to_arch(key, item) for item in _items(key, value)]
 
 
-def _to_dataset_kind(key, value):
-    if value not in ("synthetic", "mnist", "cifar10"):
-        raise ConfigError(key, f"must be synthetic|mnist|cifar10, got {value!r}")
-    return value
-
-
-def _key(key, default=MISSING, conv=None, kind=None):
+def _key(key, default=MISSING, conv=None, kind=None, rule=None):
     """A field read from config key ``key``, converted by ``conv`` (or by the
-    field's type). Without a default the key is required; with ``kind`` it is
-    required when dataset.kind is that kind."""
-    return field(default=default, metadata={"key": key, "conv": conv, "kind": kind})
+    field's type), whose value must keep ``rule``. Without a default the key
+    is required; with ``kind`` it is required when dataset.kind is that kind."""
+    return field(default=default,
+                 metadata={"key": key, "conv": conv, "kind": kind, "rule": rule})
 
 
 @dataclass
@@ -108,8 +106,9 @@ class ExperimentConfig:
     """The typed config. Every field names its key; a field typed as a
     dataclass reads that dataclass's fields from ``<key>.<field name>``."""
 
-    dataset_kind: str = _key("dataset.kind", conv=_to_dataset_kind)
-    output_dir: str = _key("output_dir")
+    dataset_kind: str = _key("dataset.kind", rule=(
+        lambda v: v in ("synthetic", "mnist", "cifar10"), "must be synthetic|mnist|cifar10"))
+    output_dir: str = _key("output_dir", rule=(bool, "must not be empty"))
     mentor_arch: str = _key("mentor.arch", conv=_to_arch)
     student_archs: list = _key("student.archs", conv=_to_arch_list)
     split: SplitConfig = _key("split")
@@ -125,50 +124,32 @@ class ExperimentConfig:
     train_batches: list = _key("dataset.train_batches", None, _list_of(), "cifar10")
     test_batches: list = _key("dataset.test_batches", None, _list_of(), "cifar10")
     # synthetic
-    classes: int = _key("dataset.classes", 10)
-    per_class: int = _key("dataset.per_class", 100)
-    test_per_class: int = _key("dataset.test_per_class", 100)
-    shape: tuple = _key("dataset.shape", (1, 8, 8), _list_of(int, tuple))
-    difficulty: float = _key("dataset.difficulty", 0.5)
-    dataset_seed: int = _key("dataset.seed", 0)
-    # post-load transforms
-    class_subset: list = _key("dataset.class_subset", None, _list_of(int))
-    per_class_cap: int = _key("dataset.per_class_cap", None)
+    classes: int = _key("dataset.classes", 10, rule=at_least(2))
+    per_class: int = _key("dataset.per_class", 100, rule=at_least(1))
+    test_per_class: int = _key("dataset.test_per_class", 100, rule=at_least(1))
+    shape: tuple = _key("dataset.shape", (1, 8, 8), _list_of(int, tuple), rule=(
+        lambda v: len(v) == 3 and min(v) >= 1, "must be 3 positive dims"))
+    difficulty: float = _key("dataset.difficulty", 0.5, rule=(
+        lambda v: 0 < v <= 1, "must be in (0, 1]"))
+    dataset_seed: int = _key("dataset.seed", 0, rule=at_least(0))
+    # post-load transforms; a single class would score 100% whatever it learned
+    class_subset: list = _key("dataset.class_subset", None, _list_of(int), rule=(
+        lambda v: min(v) >= 0 and len(set(v)) == len(v) >= 2,
+        "must be at least 2 distinct class ids >= 0"))
+    per_class_cap: int = _key("dataset.per_class_cap", None, rule=at_least(1))
     standardize: bool = _key("dataset.standardize", False)
     # foreign source for inject
-    foreign_classes: int = _key("perturb.foreign_classes", 10)
-    foreign_per_class: int = _key("perturb.foreign_per_class", 100)
-    foreign_seed: int = _key("perturb.foreign_seed", 1)
+    foreign_classes: int = _key("perturb.foreign_classes", 10, rule=at_least(2))
+    foreign_per_class: int = _key("perturb.foreign_per_class", 100, rule=at_least(1))
+    foreign_seed: int = _key("perturb.foreign_seed", 1, rule=at_least(0))
     foreign_batches: list = _key("perturb.foreign_batches", None, _list_of())
     # reporting / sweep
     zero_wall_time: bool = _key("report.zero_wall_time", True)
     sweep_ratios: tuple = _key("sweep.ratios", (0.05, 0.1, 0.2, 0.4, 0.6, 0.8),
-                               _list_of(float, tuple))
-    sweep_seeds: tuple = _key("sweep.seeds", None, _list_of(int, tuple))
-
-
-# (key, holds(cfg), rule): the range rules a built config must keep
-_RULES = (
-    ("dataset.classes", lambda c: c.classes >= 2, "must be >= 2"),
-    ("dataset.per_class", lambda c: c.per_class >= 1, "must be >= 1"),
-    ("dataset.test_per_class", lambda c: c.test_per_class >= 1, "must be >= 1"),
-    ("dataset.difficulty", lambda c: 0 < c.difficulty <= 1, "must be in (0, 1]"),
-    ("dataset.shape", lambda c: len(c.shape) == 3 and min(c.shape) >= 1,
-     "must be 3 positive dims"),
-    ("dataset.class_subset", lambda c: c.class_subset is None or (
-        min(c.class_subset) >= 0 and len(set(c.class_subset)) == len(c.class_subset)),
-     "must be distinct class ids >= 0"),
-    ("dataset.per_class_cap", lambda c: c.per_class_cap is None or c.class_subset,
-     "requires dataset.class_subset"),
-    ("dataset.per_class_cap", lambda c: c.per_class_cap is None or c.per_class_cap >= 1,
-     "must be >= 1"),
-    ("perturb.foreign_classes", lambda c: c.foreign_classes >= 2, "must be >= 2"),
-    ("perturb.foreign_per_class", lambda c: c.foreign_per_class >= 1, "must be >= 1"),
-    ("sweep.ratios", lambda c: all(0 < r < 1 for r in c.sweep_ratios),
-     "each ratio must be in (0, 1)"),
-    ("sweep.seeds", lambda c: c.sweep_seeds is None or min(c.sweep_seeds) >= 0,
-     "each seed must be >= 0"),
-)
+                               _list_of(float, tuple), rule=(
+        lambda v: all(0 < r < 1 for r in v), "each ratio must be in (0, 1)"))
+    sweep_seeds: tuple = _key("sweep.seeds", None, _list_of(int, tuple), rule=(
+        lambda v: min(v) >= 0, "each seed must be >= 0"))
 
 
 def _config_keys():
@@ -226,6 +207,15 @@ def apply_seed_shorthand(mapping, seed):
     return out
 
 
+def _build(cls, kwargs, key_of):
+    """cls(**kwargs) once every value keeps its field's rule; else a
+    ConfigError naming the key key_of(field) of the first that breaks one."""
+    broken = broken_rule(cls, kwargs)
+    if broken:
+        raise ConfigError(key_of(broken[0]), broken[1])
+    return cls(**kwargs)
+
+
 def _group(mapping, prefix, cls):
     """Build dataclass cls from the ``<prefix>.<field>`` keys, each converted
     by its field's type; cls's own defaults fill in the missing ones."""
@@ -235,11 +225,7 @@ def _group(mapping, prefix, cls):
         key = f"{prefix}.{f.name}"
         if key in mapping:
             kwargs[f.name] = _BY_TYPE[types[f.name]](key, mapping[key])
-    try:
-        return cls(**kwargs)
-    except ValidationError as exc:
-        # the config dataclasses start each message with the field's name
-        raise ConfigError(f"{prefix}.{str(exc).split(' ', 1)[0]}", str(exc)) from None
+    return _build(cls, kwargs, lambda f: f"{prefix}.{f.name}")
 
 
 def build_experiment_config(mapping):
@@ -247,10 +233,6 @@ def build_experiment_config(mapping):
     unknown = sorted(set(mapping) - KNOWN_KEYS)
     if unknown:
         raise ConfigError(unknown[0], "unknown config key")
-    for key, value in mapping.items():
-        # numpy seeds its generators from non-negative integers only
-        if key.endswith("seed") and _to_int(key, value) < 0:
-            raise ConfigError(key, f"must be >= 0, got {value}")
     kwargs = {}
     for f in fields(ExperimentConfig):
         key, kind = f.metadata["key"], f.metadata["kind"]
@@ -262,10 +244,9 @@ def build_experiment_config(mapping):
             raise ConfigError(key, "required key is missing")
         elif kind == mapping.get("dataset.kind"):
             raise ConfigError(key, f"required for dataset.kind={kind}")
-    cfg = ExperimentConfig(**kwargs)
-    for key, holds, rule in _RULES:
-        if not holds(cfg):
-            raise ConfigError(key, f"{rule}, got {mapping.get(key)}")
+    cfg = _build(ExperimentConfig, kwargs, lambda f: f.metadata["key"])
+    if cfg.per_class_cap is not None and not cfg.class_subset:
+        raise ConfigError("dataset.per_class_cap", "requires dataset.class_subset")
     return cfg
 
 

@@ -181,9 +181,10 @@ def gen_synthetic(num_classes, per_class, shape, seed, difficulty):
     rng = np.random.default_rng(seed)
     templates = rng.uniform(0.2, 0.8, (num_classes, *shape))
     flat = templates.reshape(num_classes, -1)
-    diffs = flat[:, None, :] - flat[None, :, :]
-    pair_ms = (diffs**2).mean(axis=2)
-    rms_sep = float(np.sqrt(pair_ms[np.triu_indices(num_classes, k=1)].mean()))
+    # each pair i < j once, in row-major order of the upper triangle
+    pair_ms = np.concatenate([((flat[i] - flat[i + 1:]) ** 2).mean(axis=1)
+                              for i in range(num_classes - 1)])
+    rms_sep = float(np.sqrt(pair_ms.mean()))
     sigma = difficulty * rms_sep
 
     images = np.empty((num_classes * per_class, *shape))

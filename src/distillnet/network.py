@@ -21,7 +21,7 @@ Defaults when a token carries no arguments:
   32 * 2**(number of pooling layers already placed).
 * ``mp`` - 2x2 window, stride = window; trailing rows/columns that do not fill
   a window are dropped.
-* ``fc`` - 128 units; the last fc of the stack always has num_classes units.
+* ``fc`` - 128 units, or num_classes units for the last fc of the stack.
 * ``d``  - drop probability 0.5.
 
 A ReLU is inserted implicitly after every ``c`` and after every ``fc`` except
@@ -194,10 +194,6 @@ def _build_layers(tokens, shape, num_classes, rng):
             pools += 1
         elif kind == "fc":
             units = args[0] if args else (num_classes if i == last_fc else 128)
-            if i == last_fc and units != num_classes:
-                raise ShapeError(
-                    f"fc: final fc must have num_classes={num_classes} units, got {units}"
-                )
             layers.append(FullyConnected(math.prod(shape), units, rng))
             shape = (units,)
         elif kind == "bn":

@@ -250,6 +250,10 @@ def write_split(cfg, train_set):
     """Compute the stratified split from cfg.split and record it as the
     manifest, replacing any earlier one."""
     mentor_idx, _ = split_indices(train_set, cfg.split)
+    if mentor_idx.size == 0:
+        raise ConfigError("split.mentor_fraction", (
+            f"{cfg.split.mentor_fraction:g} of each class floors to no rows:"
+            f" 0 mentor / {train_set.n} pool images"))
     os.makedirs(cfg.output_dir, exist_ok=True)
     save_split_manifest(manifest_path(cfg.output_dir), train_set.n, mentor_idx)
 

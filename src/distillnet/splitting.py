@@ -14,37 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledImageSet
-from .errors import FormatError, ShapeError, ValidationError
+from .errors import FormatError, Ruled, ShapeError, ValidationError, at_least, ruled
 from .fileio import atomic_write_text
 
 MANIFEST_HEADER = ["index", "assignment"]
 
 
 @dataclass
-class SplitConfig:
-    mentor_fraction: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.mentor_fraction < 1:
-            raise ValidationError(
-                f"mentor_fraction must be in (0, 1), got {self.mentor_fraction}"
-            )
+class SplitConfig(Ruled):
+    mentor_fraction: float = ruled(0.2, (lambda v: 0 < v < 1, "must be in (0, 1)"))
+    seed: int = ruled(0, at_least(0))
 
 
 @dataclass
-class PerturbConfig:
-    kind: str = "none"  # "none", "reduce" or "inject"
-    ratio_bound: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "reduce", "inject"):
-            raise ValidationError(f"kind must be none|reduce|inject, got {self.kind!r}")
-        if not 0 <= self.ratio_bound <= 1:
-            raise ValidationError(
-                f"ratio_bound must be in [0, 1], got {self.ratio_bound}"
-            )
+class PerturbConfig(Ruled):
+    kind: str = ruled("none", (lambda v: v in ("none", "reduce", "inject"),
+                               "must be none|reduce|inject"))
+    ratio_bound: float = ruled(0.0, (lambda v: 0 <= v <= 1, "must be in [0, 1]"))
+    seed: int = ruled(0, at_least(0))
 
 
 def _class_indices(labels):

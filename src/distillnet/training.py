@@ -2,41 +2,30 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import Ruled, ShapeError, ValidationError, at_least, ruled
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Ruled):
     """Hyperparameters for one training run.
 
     lr_decay multiplies the learning rate once per epoch, so epoch e
     (1-based) trains at learning_rate * lr_decay**(e-1).
     """
 
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 64
-    epochs: int = 20
-    seed: int = 0
+    learning_rate: float = ruled(0.01, (lambda v: 0 <= v < math.inf, "must be finite and >= 0"))
+    momentum: float = ruled(0.9, (lambda v: 0 <= v < 1, "must be in [0, 1)"))
+    batch_size: int = ruled(64, at_least(1))
+    epochs: int = ruled(20, at_least(1))
+    seed: int = ruled(0, at_least(0))
     shuffle: bool = True
-    lr_decay: float = 0.98
-
-    def __post_init__(self):
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if int(self.batch_size) < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if int(self.epochs) < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValidationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+    lr_decay: float = ruled(0.98, (lambda v: 0 < v <= 1, "must be in (0, 1]"))
 
 
 @dataclass

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distillnet import pipeline
 from distillnet.cli import STAGES, main, stage_run_all
@@ -15,7 +17,7 @@ from distillnet.config import (
     load_config,
     parse_config_text,
 )
-from distillnet.errors import ConfigError
+from distillnet.errors import ConfigError, ValidationError
 from distillnet.evaluation import BenchResult, format_percent
 from distillnet.report import (
     ModelResult,
@@ -29,7 +31,8 @@ from distillnet.report import (
     write_epochs,
     write_summary,
 )
-from distillnet.training import EpochLog
+from distillnet.splitting import PerturbConfig, SplitConfig
+from distillnet.training import EpochLog, TrainConfig
 
 BASE = """
 # tiny synthetic experiment
@@ -288,7 +291,8 @@ def test_perturb_foreign_keys_checked_without_injection(tmp_path, override):
     "dataset.difficulty=0", "dataset.difficulty=1.5",
     "dataset.shape=0,8,8", "dataset.shape=1,8",
     "sweep.ratios=0.2,1.5", "sweep.ratios=0", "sweep.seeds=-1",
-    "dataset.class_subset=1,1", "dataset.class_subset=-1",
+    "dataset.class_subset=1,1", "dataset.class_subset=-1", "dataset.class_subset=3",
+    "output_dir=",
 ])
 def test_bad_values_rejected_at_load(tmp_path, capsys, override):
     # a malformed architecture or an out-of-range value is a config error
@@ -304,7 +308,7 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, override):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("classes", ["99", "0,4"])
+@pytest.mark.parametrize("classes", ["0,99", "0,4"])
 def test_class_subset_the_data_lacks_is_a_config_error(tmp_path, capsys, classes):
     # only the loaded data shows that a class is missing (the config holds
     # classes 0-3): still a config error naming its key, before anything is
@@ -315,6 +319,48 @@ def test_class_subset_the_data_lacks_is_a_config_error(tmp_path, capsys, classes
     assert "config error: dataset.class_subset: class " in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb", ["split", "sweep"])
+def test_a_split_with_no_mentor_rows_is_a_config_error(tmp_path, capsys, verb):
+    # floor(0.2 * 4) = 0 rows of every class: refused before a manifest is
+    # written, rather than failing later in train-mentor
+    path, out = write_cfg(tmp_path, extra="sweep.ratios=0.2\n")
+    overrides = ["dataset.per_class=4", "split.mentor_fraction=0.2"]
+    argv = [a for o in overrides for a in ("--override", o)]
+    assert run_cli(verb, "--config", path, *argv) == 1
+    err = capsys.readouterr().err
+    assert "config error: split.mentor_fraction: " in err
+    assert "0 mentor / 16 pool images" in err
+    assert not os.path.exists(pipeline.manifest_path(out))
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, SplitConfig, PerturbConfig])
+def test_a_negative_seed_is_refused_at_construction(cls):
+    # numpy seeds its generators from non-negative integers only
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+        cls(seed=-1)
+
+
+_TEXT_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-3, 300).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-2, 12), min_size=1, max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["", "none", "reduce", "inject", "mnist", "true", "fc-s", "1,8,8"]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(sorted(KNOWN_KEYS)), _TEXT_VALUES)
+def test_no_config_value_crashes_the_loader(key, value):
+    # any text for any key builds a config or is a ConfigError naming a key
+    mapping = parse_config_text(BASE.format(out="run"))
+    mapping[key] = value
+    try:
+        build_experiment_config(mapping)
+    except ConfigError as exc:
+        assert exc.key in KNOWN_KEYS
 
 
 @pytest.mark.parametrize("override", [

@@ -207,6 +207,34 @@ def test_gen_synthetic_validation():
         gen_synthetic(2, 5, (1, 4), 0, 0.5)
 
 
+def _gen_synthetic_reference(num_classes, per_class, shape, seed, difficulty):
+    """gen_synthetic's images from its earlier formula, which took sigma from
+    the full (K, K) matrix of pairwise template distances."""
+    rng = np.random.default_rng(seed)
+    templates = rng.uniform(0.2, 0.8, (num_classes, *shape))
+    flat = templates.reshape(num_classes, -1)
+    diffs = flat[:, None, :] - flat[None, :, :]
+    pair_ms = (diffs**2).mean(axis=2)
+    sigma = difficulty * float(np.sqrt(pair_ms[np.triu_indices(num_classes, k=1)].mean()))
+    images = np.empty((num_classes * per_class, *shape))
+    for k in range(num_classes):
+        noise = rng.normal(0.0, sigma, (per_class, *shape))
+        images[k * per_class : (k + 1) * per_class] = np.clip(templates[k] + noise, 0.0, 1.0)
+    return images
+
+
+@pytest.mark.parametrize("num_classes, shape, seed", [
+    (2, (1, 8, 8), 0), (3, (2, 4, 4), 5), (10, (1, 8, 8), 7),
+    (17, (3, 5, 7), 11), (40, (3, 32, 32), 2),
+])
+def test_gen_synthetic_matches_the_pairwise_matrix_formula_bytes(num_classes, shape, seed):
+    # each template pair is compared once, in the upper triangle's order, so
+    # sigma and every image keep the bytes of the (K, K) formula
+    got = gen_synthetic(num_classes, 3, shape, seed=seed, difficulty=0.6).images
+    want = _gen_synthetic_reference(num_classes, 3, shape, seed, 0.6)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gen_synthetic_split_shares_templates():
     train, test = gen_synthetic_split(3, 8, 4, (1, 5, 5), seed=5, difficulty=0.4)
     assert train.n == 24 and test.n == 12

@@ -226,6 +226,14 @@ def test_final_fc_width_conflict_raises():
     assert stack.layers[0].out_features == 4
 
 
+@pytest.mark.parametrize("spec", ["fc(64)-s", "fc(64)-bn-d-s"])
+def test_final_fc_of_the_wrong_width_is_refused_by_the_softmax_check(spec):
+    # only bn, d and relu can stand between the last fc and s, and none of
+    # them changes the width, so the softmax input check covers the final fc
+    with pytest.raises(ShapeError, match="^s: softmax input has 64 features"):
+        parse_arch(spec, (1, 6, 6), 10, seed=0)
+
+
 def test_softmax_without_fc_needs_matching_features():
     with pytest.raises(ShapeError):
         parse_arch("c-mp-s", (1, 8, 8), 10, seed=0)
