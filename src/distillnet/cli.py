@@ -1,10 +1,10 @@
 """Command-line front end: file-driven stages of the distillation pipeline.
 
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
-edits and a ``--seed`` shorthand that rewrites every ``*.seed`` key), loads
-the dataset once for all the stages it runs, trains its models one after
-another in its own process and talks to the other verbs only through files
-under ``output_dir``:
+edits, then ``--seed S`` as one ``<key>=S`` edit per ``*.seed`` key), loads
+the dataset once and hands it to its ``stage_<verb>`` (``bench`` also gets
+--reps and --warmup), which trains its models one after another in this
+process and talks to the other verbs only through files under ``output_dir``:
 
   split          -> split_manifest.csv (always recomputed)
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
@@ -19,10 +19,13 @@ under ``output_dir``:
   run-all        split, train-mentor, label, train-student, eval, confusion
 
 Exit codes: 0 success; 1 configuration problem (message names the offending
-key, or the flag: --reps must be >= 1, --warmup >= 0); 2 a required input
-artifact is missing or stale (made for another mentor.arch); 3 any other
-runtime failure. Progress and errors go to stderr, stdout stays clean, and
-every output is written atomically (no partial files).
+key, or the flag: --reps must be >= 1, --warmup >= 0, or --config for a file
+that is not UTF-8), refused before any model trains: a batch_size larger than
+its set, and in run-all and sweep an arch the data does not fit or a sweep
+ratio that gives the mentor no rows; 2 a required input artifact, or the
+--config file, is missing, unreadable or stale (made for another mentor.arch);
+3 any other runtime failure. Progress and errors go to stderr, stdout stays
+clean, and every output is written atomically (no partial files).
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ import numpy as np
 
 from . import pipeline, report
 from .config import load_config
-from .errors import ConfigError, DistillError, MissingArtifactError
+from .errors import ConfigError, DistillError, MissingArtifactError, ShapeError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
+from .network import parse_arch
 from .report import ModelResult
 from .splitting import SplitConfig
 
@@ -79,10 +83,17 @@ def _train_and_save(cfg, model_id, arch, inputs):
     return logs
 
 
+def _require_batch(key, train_cfg, n):
+    """Refuse (exit 1) a batch_size larger than the n rows it trains on."""
+    if train_cfg.batch_size > n:
+        raise ConfigError(key, f"{train_cfg.batch_size} exceeds the {n} rows it trains on")
+
+
 def stage_train_mentor(cfg, data):
     """Train the mentor on its split's hard labels; returns its epoch logs."""
     train_set, test_set, _ = data
     mentor_set, _ = pipeline.resolve_split(cfg, train_set)
+    _require_batch("mentor_train.batch_size", cfg.mentor_train, mentor_set.n)
     inputs = (pipeline.train_baseline, cfg.mentor_train, (mentor_set,), test_set)
     return _train_and_save(cfg, "mentor", cfg.mentor_arch, inputs)
 
@@ -127,6 +138,7 @@ def _train_archs(kind, cfg, inputs):
 def stage_train_student(cfg, data):
     """Every student learns the mentor's soft labels for the one pool."""
     pool, test_set = _student_pool(cfg, data)
+    _require_batch("student_train.batch_size", cfg.student_train, pool.n)
     path = pipeline.soft_labels_path(cfg.output_dir)
     soft = pipeline.load_soft_labels(path)
     _require_mentor_arch(cfg, path, soft.mentor_id, "label")
@@ -137,6 +149,7 @@ def stage_train_student(cfg, data):
 def stage_baseline(cfg, data):
     """Every baseline learns the pool's hard labels, the students' reference."""
     pool, test_set = _student_pool(cfg, data)
+    _require_batch("student_train.batch_size", cfg.student_train, pool.n)
     inputs = (pipeline.train_baseline, cfg.student_train, (pool,), test_set)
     return _train_archs("baseline", cfg, inputs)
 
@@ -188,11 +201,30 @@ def stage_bench(cfg, data, reps, warmup):
     _log(f"bench -> {report.bench_csv_path(cfg.output_dir)}")
 
 
+def _fit_archs(cfg, data, student_archs):
+    """Build mentor.arch and each of student_archs on the data's image shape
+    and class count, so that an arch the data does not fit is a ConfigError
+    naming its key before run-all or sweep trains anything."""
+    train_set = data[0]
+    for key, arch in [("mentor.arch", cfg.mentor_arch),
+                      *(("student.archs", arch) for arch in student_archs)]:
+        try:
+            parse_arch(arch, train_set.image_shape, train_set.num_classes)
+        except ShapeError as exc:
+            raise ConfigError(key, f"{arch}: {exc}") from None
+
+
 def stage_sweep(cfg, data):
     """Per (ratio, seed), the run-all stages up to train-student in
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
     sweep.csv gets the per-ratio means over seeds. Every run shares data, as
-    prepare_data reads none of the keys a run replaces."""
+    prepare_data reads none of the keys a run replaces. The mentor's arch,
+    each ratio's mentor rows and its batch are checked before the first run."""
+    _fit_archs(cfg, data, ())
+    for ratio in cfg.sweep_ratios:
+        split = SplitConfig(mentor_fraction=ratio)
+        n = pipeline.mentor_indices(data[0], split, "sweep.ratios").size
+        _require_batch("mentor_train.batch_size", cfg.mentor_train, n)
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
     rows = []
     for ratio in cfg.sweep_ratios:
@@ -222,6 +254,7 @@ def stage_sweep(cfg, data):
 
 
 def stage_run_all(cfg, data):
+    _fit_archs(cfg, data, cfg.student_archs)
     stage_split(cfg, data)
     stage_train_mentor(cfg, data)
     stage_label(cfg, data)
@@ -233,21 +266,10 @@ def stage_run_all(cfg, data):
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-# verb -> stage. Each entry looks its stage up when called, so a stage
-# function replaced on this module (e.g. by a tracing wrapper) is the one
-# that runs.
-STAGES = {
-    "split": lambda cfg, data, args: stage_split(cfg, data),
-    "train-mentor": lambda cfg, data, args: stage_train_mentor(cfg, data),
-    "label": lambda cfg, data, args: stage_label(cfg, data),
-    "train-student": lambda cfg, data, args: stage_train_student(cfg, data),
-    "baseline": lambda cfg, data, args: stage_baseline(cfg, data),
-    "eval": lambda cfg, data, args: stage_eval(cfg, data),
-    "confusion": lambda cfg, data, args: stage_confusion(cfg, data),
-    "bench": lambda cfg, data, args: stage_bench(cfg, data, args.reps, args.warmup),
-    "sweep": lambda cfg, data, args: stage_sweep(cfg, data),
-    "run-all": lambda cfg, data, args: stage_run_all(cfg, data),
-}
+# The verbs. main runs stage_<verb>, looked up on this module at call time, so
+# a stage replaced here (e.g. by a tracing wrapper) is the one that runs.
+STAGES = ("split", "train-mentor", "label", "train-student", "baseline", "eval",
+          "confusion", "bench", "sweep", "run-all")
 
 
 def build_parser():
@@ -284,7 +306,8 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = load_config(args.config, args.override, args.seed)
-        STAGES[args.verb](cfg, pipeline.prepare_data(cfg), args)
+        extra = (args.reps, args.warmup) if args.verb == "bench" else ()
+        globals()["stage_" + args.verb.replace("-", "_")](cfg, pipeline.prepare_data(cfg), *extra)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 1

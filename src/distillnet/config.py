@@ -3,10 +3,13 @@
 Config files are plain text, one ``namespaced.key=value`` per line, with
 ``#`` comment lines and blank lines ignored. ``--override key=value`` on the
 CLI edits the parsed mapping and is defined to be equivalent to editing the
-file. Each key's type, default and rule are declared once, on its field of
+file; ``--seed S`` is one such edit per ``SEED_KEYS`` entry, after them. Each
+key's type, default and rule are declared once, on its field of
 ``ExperimentConfig`` or of the ``SplitConfig``, ``PerturbConfig`` and
 ``TrainConfig`` key groups; ``errors.broken_rule`` checks them, here and at
-direct construction. Every failure here raises ConfigError naming its key.
+direct construction. Every failure here raises ConfigError naming its key
+(``--config`` for a file that is not UTF-8 text), but a config file that cannot
+be read at all is a MissingArtifactError.
 """
 
 # No ``from __future__ import annotations``: each field's ``type`` must be the
@@ -14,7 +17,7 @@ direct construction. Every failure here raises ConfigError naming its key.
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
-from .errors import ConfigError, ParseError, at_least, broken_rule
+from .errors import ConfigError, MissingArtifactError, ParseError, at_least, broken_rule
 from .network import parse_tokens, render_tokens
 from .splitting import PerturbConfig, SplitConfig
 from .training import TrainConfig
@@ -184,8 +187,17 @@ def parse_config_text(text, source="<config>"):
 
 
 def parse_config_file(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read(), source=str(path))
+    """parse_config_text of a file: a MissingArtifactError if it cannot be
+    read, a ConfigError naming ``--config`` if it is not UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise MissingArtifactError(f"config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("--config", f"{path} is not UTF-8 text ({exc.reason}"
+                                      f" at byte {exc.start})") from None
+    return parse_config_text(text, source=str(path))
 
 
 def apply_overrides(mapping, overrides):
@@ -196,14 +208,6 @@ def apply_overrides(mapping, overrides):
             raise ConfigError(item, "override must look like key=value")
         key, value = item.split("=", 1)
         out[key.strip()] = value.strip()
-    return out
-
-
-def apply_seed_shorthand(mapping, seed):
-    """--seed S: overwrite every *.seed key."""
-    out = dict(mapping)
-    for key in SEED_KEYS:
-        out[key] = str(int(seed))
     return out
 
 
@@ -251,10 +255,9 @@ def build_experiment_config(mapping):
 
 
 def load_config(path, overrides=(), seed=None):
-    """Parse + override + build in one call (the CLI entry path)."""
-    mapping = parse_config_file(path)
-    if overrides:
-        mapping = apply_overrides(mapping, overrides)
-    if seed is not None:
-        mapping = apply_seed_shorthand(mapping, seed)
+    """Parse + override + build in one call (the CLI entry path). ``seed``
+    (``--seed S``) is one ``<key>=S`` override per SEED_KEYS entry, applied
+    after ``overrides``."""
+    seeds = [] if seed is None else [f"{key}={int(seed)}" for key in SEED_KEYS]
+    mapping = apply_overrides(parse_config_file(path), [*overrides, *seeds])
     return build_experiment_config(mapping)

@@ -1,8 +1,18 @@
-"""Atomic file writes: stages must never leave partial outputs behind."""
+"""File output: ``csv_text`` builds every CSV the package writes, and the
+atomic writes mean a stage never leaves a partial output behind."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
+
+
+def csv_text(header, rows):
+    """The CSV text, LF line endings, of a header row and then ``rows``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def atomic_write_bytes(path, data):

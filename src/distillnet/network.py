@@ -31,7 +31,9 @@ explicit ``relu`` as the following token. Every spec ends with exactly one
 
 A spec expands to at most ``_MAX_TOKENS`` tokens, nests "(...)" at most
 ``_MAX_DEPTH`` deep and writes no integer longer than ``_MAX_DIGITS`` digits;
-past a bound it is a ``ParseError``, raised before the expansion is built.
+past a bound it is a ``ParseError``, raised before the expansion is built. A
+stack holds at most ``_MAX_WEIGHTS`` values in its layers; a conv, fc or bn
+that would pass it is a ``ShapeError``, raised before that layer allocates.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ _QUOTE = 40  # characters of the arch string a ParseError quotes around its plac
 _MAX_TOKENS = 1000
 _MAX_DEPTH = 32
 _MAX_DIGITS = 9
+_MAX_WEIGHTS = 10**8  # values a stack's layers may hold: weights, biases, bn statistics
 
 _KINDS = {  # kind: (most arguments, the rule its arguments keep)
     "c": (2, "takes (kernel[, out_channels]) positive integers"),
@@ -167,11 +170,20 @@ def parse_tokens(spec):
     return tokens
 
 
+def _hold(held, size, i, tok):
+    """``held + size``, the values a stack holds once token ``i`` adds its
+    layer; past ``_MAX_WEIGHTS`` a ShapeError, before that layer allocates."""
+    if held + size > _MAX_WEIGHTS:
+        raise ShapeError(f"{_fmt_token(tok)} (token {i + 1}): the stack would hold"
+                         f" {held + size:,} weights, more than {_MAX_WEIGHTS:,}")
+    return held + size
+
+
 def _build_layers(tokens, shape, num_classes, rng):
     """The layers for ``tokens``, He-initialized in order. ``shape`` is the
     (channels, h, w) of each token's input until an fc, then (features,)."""
     layers = []
-    pools = 0
+    pools = held = 0
     last_fc = max((i for i, t in enumerate(tokens) if t.kind == "fc"), default=None)
     for i, tok in enumerate(tokens[:-1]):
         kind, args = tok.kind, tok.args
@@ -180,6 +192,7 @@ def _build_layers(tokens, shape, num_classes, rng):
         if kind == "c":
             k = args[0] if args else 3
             cout = args[1] if len(args) == 2 else 32 * 2**pools
+            held = _hold(held, cout * (shape[0] * k * k + 1), i, tok)
             layers.append(Conv2d(shape[0], cout, k, rng))
             # pad k//2 keeps h for an odd kernel and grows it by one for an even
             shape = (cout, shape[1] + 1 - k % 2, shape[2] + 1 - k % 2)
@@ -194,9 +207,11 @@ def _build_layers(tokens, shape, num_classes, rng):
             pools += 1
         elif kind == "fc":
             units = args[0] if args else (num_classes if i == last_fc else 128)
+            held = _hold(held, units * (math.prod(shape) + 1), i, tok)
             layers.append(FullyConnected(math.prod(shape), units, rng))
             shape = (units,)
         elif kind == "bn":
+            held = _hold(held, 4 * shape[0], i, tok)
             layers.append(BatchNorm(shape[0]))
         elif kind == "d":
             layers.append(Dropout(float(args[0]) if args else 0.5))

@@ -246,14 +246,21 @@ def prepare_data(cfg: ExperimentConfig):
     return train_set, test_set, foreign
 
 
+def mentor_indices(train_set, split_cfg, key="split.mentor_fraction"):
+    """The mentor rows of split_cfg's stratified split of train_set; a
+    ConfigError naming ``key`` when its fraction floors to no row at all."""
+    mentor_idx, _ = split_indices(train_set, split_cfg)
+    if mentor_idx.size == 0:
+        raise ConfigError(key, (
+            f"{split_cfg.mentor_fraction:g} of each class floors to no rows:"
+            f" 0 mentor / {train_set.n} pool images"))
+    return mentor_idx
+
+
 def write_split(cfg, train_set):
     """Compute the stratified split from cfg.split and record it as the
     manifest, replacing any earlier one."""
-    mentor_idx, _ = split_indices(train_set, cfg.split)
-    if mentor_idx.size == 0:
-        raise ConfigError("split.mentor_fraction", (
-            f"{cfg.split.mentor_fraction:g} of each class floors to no rows:"
-            f" 0 mentor / {train_set.n} pool images"))
+    mentor_idx = mentor_indices(train_set, cfg.split)
     os.makedirs(cfg.output_dir, exist_ok=True)
     save_split_manifest(manifest_path(cfg.output_dir), train_set.n, mentor_idx)
 

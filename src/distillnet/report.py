@@ -1,21 +1,19 @@
 """CSV reports: summary, per-epoch logs, confusion matrices, benchmarks, sweeps.
 
-All CSVs are UTF-8 with LF line endings and a header row. Plain floats are
-rendered with 6 significant digits; percentages with 2 decimals (truncating -
-see evaluation.format_percent). Reports are byte-deterministic for equal
+Every CSV is built by fileio.csv_text (UTF-8, LF line endings, a header
+row). Plain floats are rendered with 6 significant digits; percentages with
+2 decimals (truncating - see evaluation.format_percent). Reports are byte-deterministic for equal
 inputs; epoch CSVs zero the wall_time_s column unless the caller opts out,
 because wall-clock readings would break otherwise-identical reruns.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 
 from .evaluation import format_percent
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, csv_text
 
 SUMMARY_HEADER = ["model", "arch", "accuracy", "relative_accuracy"]
 EPOCH_HEADER = ["epoch", "train_loss", "test_loss", "test_accuracy", "wall_time_s"]
@@ -36,14 +34,6 @@ class ModelResult:
     arch: str
     accuracy: float  # fraction in [0, 1]
     relative_accuracy: float = None  # percent, None for the mentor
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def summary_csv_path(out_dir):
@@ -71,7 +61,7 @@ def write_summary(results, path):
     for r in results:
         rel = "" if r.relative_accuracy is None else format_percent(r.relative_accuracy)
         rows.append([r.model_id, r.arch, format_percent(r.accuracy * 100.0), rel])
-    atomic_write_text(path, _csv_text(SUMMARY_HEADER, rows))
+    atomic_write_text(path, csv_text(SUMMARY_HEADER, rows))
 
 
 def write_epochs(logs, path, zero_wall_time=True):
@@ -85,7 +75,7 @@ def write_epochs(logs, path, zero_wall_time=True):
         ]
         for log in logs
     ]
-    atomic_write_text(path, _csv_text(EPOCH_HEADER, rows))
+    atomic_write_text(path, csv_text(EPOCH_HEADER, rows))
 
 
 def write_confusion(counts, path):
@@ -93,14 +83,14 @@ def write_confusion(counts, path):
     k = counts.shape[0]
     header = ["true/pred"] + [str(j) for j in range(k)]
     rows = [[str(i)] + [int(v) for v in counts[i]] for i in range(k)]
-    atomic_write_text(path, _csv_text(header, rows))
+    atomic_write_text(path, csv_text(header, rows))
 
 
 def write_bench(bench_results, path):
     rows = [
         [b.model_id, b.reps, fmt6(b.mean_s), fmt6(b.std_s)] for b in bench_results
     ]
-    atomic_write_text(path, _csv_text(BENCH_HEADER, rows))
+    atomic_write_text(path, csv_text(BENCH_HEADER, rows))
 
 
 def write_sweep(rows, path):
@@ -109,4 +99,4 @@ def write_sweep(rows, path):
         [fmt6(ratio), format_percent(m * 100.0), format_percent(s * 100.0)]
         for ratio, m, s in rows
     ]
-    atomic_write_text(path, _csv_text(SWEEP_HEADER, csv_rows))
+    atomic_write_text(path, csv_text(SWEEP_HEADER, csv_rows))

@@ -8,14 +8,13 @@ lists, so a split or perturbation can be replayed exactly.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledImageSet
 from .errors import FormatError, Ruled, ShapeError, ValidationError, at_least, ruled
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, csv_text
 
 MANIFEST_HEADER = ["index", "assignment"]
 
@@ -67,12 +66,8 @@ def save_split_manifest(path, n_total, mentor_idx):
     """Write one `index,assignment` row per dataset row."""
     mentor = np.zeros(n_total, dtype=bool)
     mentor[np.asarray(mentor_idx, dtype=np.int64)] = True
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
-    for i in range(n_total):
-        writer.writerow([i, "mentor" if mentor[i] else "student"])
-    atomic_write_text(path, buf.getvalue())
+    rows = ([i, "mentor" if m else "student"] for i, m in enumerate(mentor.tolist()))
+    atomic_write_text(path, csv_text(MANIFEST_HEADER, rows))
 
 
 def load_split_manifest(path):

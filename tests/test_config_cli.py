@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distillnet import pipeline
+from distillnet import cli, pipeline
 from distillnet.cli import STAGES, main, stage_run_all
 from distillnet.config import (
     KNOWN_KEYS,
     SEED_KEYS,
     apply_overrides,
-    apply_seed_shorthand,
     build_experiment_config,
     load_config,
     parse_config_text,
@@ -167,9 +166,6 @@ def test_seed_shorthand_rewrites_every_seed_key(tmp_path):
     assert cfg.student_train.seed == 77
     assert cfg.dataset_seed == 77
     assert cfg.perturb.seed == 77
-    mapping = apply_seed_shorthand({"split.seed": "0"}, 5)
-    assert mapping["split.seed"] == "5"
-    assert mapping["mentor_train.seed"] == "5"
 
 
 def test_config_type_errors_name_the_key(tmp_path):
@@ -330,9 +326,85 @@ def test_a_split_with_no_mentor_rows_is_a_config_error(tmp_path, capsys, verb):
     argv = [a for o in overrides for a in ("--override", o)]
     assert run_cli(verb, "--config", path, *argv) == 1
     err = capsys.readouterr().err
-    assert "config error: split.mentor_fraction: " in err
+    key = "sweep.ratios" if verb == "sweep" else "split.mentor_fraction"
+    assert f"config error: {key}: " in err
     assert "0 mentor / 16 pool images" in err
     assert not os.path.exists(pipeline.manifest_path(out))
+
+
+@pytest.mark.parametrize("ratios,overrides,message", [
+    ("0.5,0.2", ["dataset.per_class=4", "mentor_train.batch_size=8",
+                 "student_train.batch_size=8"],
+     "sweep.ratios: 0.2 of each class floors to no rows"),
+    ("0.5,0.05", [], "mentor_train.batch_size: 16 exceeds the 8 rows it trains on"),
+])
+def test_sweep_checks_every_ratio_before_its_first_run(
+        tmp_path, capsys, ratios, overrides, message):
+    # the 0.5 run could train, but a later ratio gives the mentor no rows, or
+    # fewer rows than its batch: refused before the 0.5 run trains anything,
+    # naming the key the value came from
+    path, out = write_cfg(tmp_path, extra=f"sweep.ratios={ratios}\n")
+    overrides = [*overrides, "mentor_train.epochs=1", "student_train.epochs=1"]
+    assert run_cli("sweep", "--config", path,
+                   *[a for o in overrides for a in ("--override", o)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb,key,arch", [
+    ("run-all", "mentor.arch", "c-mp^3-s"),
+    ("run-all", "student.archs", "fc(32)-fc-s,c-mp-mp-mp-mp-fc-s"),
+    ("sweep", "mentor.arch", "c-mp^3-s"),
+])
+def test_run_all_and_sweep_fit_every_arch_to_the_data_before_their_first_stage(
+        tmp_path, capsys, verb, key, arch):
+    # a 1x6x6 image pools to 1x1 after two mp, so a third cannot fit: refused
+    # before the split, not after the models before it have trained
+    path, out = write_cfg(tmp_path, extra="sweep.ratios=0.5\n")
+    assert run_cli(verb, "--config", path, "--override", f"{key}={arch}") == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err
+    assert "mp: 2x2 window would pool 1x1 below 1x1" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb,key,rows,ckpt", [
+    ("train-mentor", "mentor_train.batch_size", 40, "mentor.ckpt"),
+    ("train-student", "student_train.batch_size", 120, "student_a.ckpt"),
+    ("baseline", "student_train.batch_size", 120, "baseline_a.ckpt"),
+])
+def test_a_batch_larger_than_the_set_it_trains_on_is_a_config_error(
+        tmp_path, capsys, verb, key, rows, ckpt):
+    # BASE splits 4 x 40 rows into 40 mentor rows and a 120-row pool: one row
+    # more than the set is refused before the first model trains, the set's
+    # own size trains
+    path, out = write_cfg(tmp_path)
+    for earlier in ("split", "train-mentor", "label") if verb == "train-student" else ("split",):
+        assert run_cli(earlier, "--config", path) == 0
+    capsys.readouterr()
+    assert run_cli(verb, "--config", path, "--override", f"{key}={rows + 1}") == 1
+    assert (f"config error: {key}: {rows + 1} exceeds the {rows} rows it trains on"
+            in capsys.readouterr().err)
+    assert not os.path.exists(os.path.join(out, ckpt))
+    assert run_cli(verb, "--config", path, "--override", f"{key}={rows}") == 0
+    assert os.path.exists(os.path.join(out, ckpt))
+
+
+@pytest.mark.parametrize("kind,code,prefix", [
+    ("directory", 2, "missing input: config file: [Errno 21] Is a directory: "),
+    ("not-utf8", 1, "config error: --config: "),
+])
+def test_a_config_file_that_is_not_readable_text_is_a_named_error(
+        tmp_path, capsys, kind, code, prefix):
+    # one line on stderr with the documented exit code, never a traceback
+    path = tmp_path / "exp.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"dataset.kind=synthetic\n# \xff\n")
+    assert run_cli("split", "--config", str(path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("cls", [TrainConfig, SplitConfig, PerturbConfig])
@@ -706,6 +778,21 @@ def test_cli_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
     path, out = write_cfg(tmp_path)
     assert run_cli("bench", "--config", path, flag, value) == 1
     assert f"argument {flag}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb", STAGES)
+def test_main_runs_the_stage_held_on_the_module_when_the_verb_runs(
+        tmp_path, monkeypatch, verb):
+    # a stage replaced on cli, as a tracing wrapper is, is the one main runs;
+    # bench alone gets --reps and --warmup
+    path, out = write_cfg(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "stage_" + verb.replace("-", "_"),
+                        lambda cfg, data, *extra: calls.append((cfg.output_dir, extra)))
+    flags = ["--reps", "2", "--warmup", "1"] if verb == "bench" else []
+    assert run_cli(verb, "--config", path, *flags) == 0
+    assert calls == [(out, (2, 1) if verb == "bench" else ())]
     assert not os.path.exists(out)
 
 

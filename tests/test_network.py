@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,33 @@ def test_final_fc_of_the_wrong_width_is_refused_by_the_softmax_check(spec):
 def test_softmax_without_fc_needs_matching_features():
     with pytest.raises(ShapeError):
         parse_arch("c-mp-s", (1, 8, 8), 10, seed=0)
+
+
+@pytest.mark.parametrize("spec", ["fc(999999999)-s", "fc(999999999)-fc-s"])
+def test_a_stack_too_large_to_hold_is_refused_before_it_allocates(spec):
+    # 65e9 weights (520 GB) at the first fc: refused before its matrix is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=r"^fc\(999999999\) \(token 1\): the stack"
+                                             r" would hold 64,999,999,935 weights"):
+            parse_arch(spec, (1, 8, 8), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"refusing {spec} peaked at {peak} bytes"
+
+
+def test_the_weight_bound_counts_every_value_the_layers_hold(monkeypatch):
+    # conv and fc weights and biases, and bn's scale, shift and running
+    # statistics: a bound of exactly that many builds, one less is refused at
+    # the last layer that holds any
+    spec = "c(3,4)-bn-mp-fc(8)-bn-fc-s"
+    held = sum(arr.size for _, arr in parse_arch(spec, (2, 6, 6), 3).state_items())
+    monkeypatch.setattr(network, "_MAX_WEIGHTS", held)
+    assert parse_arch(spec, (2, 6, 6), 3).num_parameters() < held
+    monkeypatch.setattr(network, "_MAX_WEIGHTS", held - 1)
+    with pytest.raises(ShapeError, match=f"^fc \\(token 6\\): the stack would hold {held:,}"):
+        parse_arch(spec, (2, 6, 6), 3)
 
 
 def test_conv_after_fc_raises():

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,24 @@ def digested(body):
 def restamped(raw, version):
     """raw with another format version and a digest that matches it."""
     return digested(raw[:4] + struct.pack("<I", version) + raw[8:-16])
+
+
+def test_a_checkpoint_whose_header_is_too_large_to_build_is_refused_before_it_allocates(
+        tmp_path):
+    # the digest holds, but "fc-s" on the header's 3x65535x65535 input would be
+    # 1.3e11 weights (1 TB): the builder's bound refuses it before He init
+    arch = b"fc-s"
+    header = struct.pack("<I", len(arch)) + arch + struct.pack("<4I", 3, 65535, 65535, 10)
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(digested(b"DMCK" + struct.pack("<I", 2) + header))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=r"^fc \(token 1\): the stack would hold"):
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"refusing the header peaked at {peak} bytes"
 
 
 def test_checkpoint_corruption_detected(tmp_path):
