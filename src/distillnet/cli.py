@@ -20,12 +20,13 @@ process and talks to the other verbs only through files under ``output_dir``:
 
 Exit codes: 0 success; 1 configuration problem (message names the offending
 key, or the flag: --reps must be >= 1, --warmup >= 0, or --config for a file
-that is not UTF-8), refused before any model trains: a batch_size larger than
-its set, and in run-all and sweep an arch the data does not fit or a sweep
-ratio that gives the mentor no rows; 2 a required input artifact, or the
---config file, is missing, unreadable or stale (made for another mentor.arch);
-3 any other runtime failure. Progress and errors go to stderr, stdout stays
-clean, and every output is written atomically (no partial files).
+that is not UTF-8), refused before any model trains: an arch its set does not
+fit, a batch_size larger than its set, a split with no mentor rows (run-all and
+sweep check every run first), or an output_dir that cannot be made; 2 a
+required input artifact, dataset file or the --config file is missing,
+unreadable or stale (made for another mentor.arch); 3 any other runtime
+failure. Progress and errors go to stderr, stdout stays clean, and every
+output is written atomically (no partial files).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import ConfigError, DistillError, MissingArtifactError, ShapeError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
 from .network import parse_arch
 from .report import ModelResult
-from .splitting import SplitConfig
+from .splitting import SplitConfig, balanced_split
 
 
 def _log(msg):
@@ -83,17 +84,32 @@ def _train_and_save(cfg, model_id, arch, inputs):
     return logs
 
 
-def _require_batch(key, train_cfg, n):
-    """Refuse (exit 1) a batch_size larger than the n rows it trains on."""
-    if train_cfg.batch_size > n:
-        raise ConfigError(key, f"{train_cfg.batch_size} exceeds the {n} rows it trains on")
+def _check(cfg, mentor_set=None, pool=None):
+    """Refuse (exit 1), naming the key, what a set given cannot train: an arch
+    its image shape and class count do not fit, or a batch_size above its
+    rows. mentor.arch trains on mentor_set, student.archs on pool. Builds
+    each arch, trains nothing."""
+    sets = (("mentor", [cfg.mentor_arch], cfg.mentor_train, mentor_set),
+            ("student", cfg.student_archs, cfg.student_train, pool))
+    for who, archs, train_cfg, rows in sets:
+        if rows is None:
+            continue
+        for arch in archs:
+            try:
+                parse_arch(arch, rows.image_shape, rows.num_classes)
+            except ShapeError as exc:
+                raise ConfigError("mentor.arch" if who == "mentor" else "student.archs",
+                                  f"{arch}: {exc}") from None
+        if train_cfg.batch_size > rows.n:
+            raise ConfigError(f"{who}_train.batch_size",
+                              f"{train_cfg.batch_size} exceeds the {rows.n} rows it trains on")
 
 
 def stage_train_mentor(cfg, data):
     """Train the mentor on its split's hard labels; returns its epoch logs."""
     train_set, test_set, _ = data
     mentor_set, _ = pipeline.resolve_split(cfg, train_set)
-    _require_batch("mentor_train.batch_size", cfg.mentor_train, mentor_set.n)
+    _check(cfg, mentor_set=mentor_set)
     inputs = (pipeline.train_baseline, cfg.mentor_train, (mentor_set,), test_set)
     return _train_and_save(cfg, "mentor", cfg.mentor_arch, inputs)
 
@@ -138,7 +154,7 @@ def _train_archs(kind, cfg, inputs):
 def stage_train_student(cfg, data):
     """Every student learns the mentor's soft labels for the one pool."""
     pool, test_set = _student_pool(cfg, data)
-    _require_batch("student_train.batch_size", cfg.student_train, pool.n)
+    _check(cfg, pool=pool)
     path = pipeline.soft_labels_path(cfg.output_dir)
     soft = pipeline.load_soft_labels(path)
     _require_mentor_arch(cfg, path, soft.mentor_id, "label")
@@ -149,7 +165,7 @@ def stage_train_student(cfg, data):
 def stage_baseline(cfg, data):
     """Every baseline learns the pool's hard labels, the students' reference."""
     pool, test_set = _student_pool(cfg, data)
-    _require_batch("student_train.batch_size", cfg.student_train, pool.n)
+    _check(cfg, pool=pool)
     inputs = (pipeline.train_baseline, cfg.student_train, (pool,), test_set)
     return _train_archs("baseline", cfg, inputs)
 
@@ -201,49 +217,43 @@ def stage_bench(cfg, data, reps, warmup):
     _log(f"bench -> {report.bench_csv_path(cfg.output_dir)}")
 
 
-def _fit_archs(cfg, data, student_archs):
-    """Build mentor.arch and each of student_archs on the data's image shape
-    and class count, so that an arch the data does not fit is a ConfigError
-    naming its key before run-all or sweep trains anything."""
-    train_set = data[0]
-    for key, arch in [("mentor.arch", cfg.mentor_arch),
-                      *(("student.archs", arch) for arch in student_archs)]:
-        try:
-            parse_arch(arch, train_set.image_shape, train_set.num_classes)
-        except ShapeError as exc:
-            raise ConfigError(key, f"{arch}: {exc}") from None
+def _check_run(cfg, data, key="split.mentor_fraction"):
+    """_check a run's mentor split and pool, computed in memory from cfg.split
+    before the run writes anything; no mentor rows is a ConfigError naming key."""
+    train_set, _, foreign = data
+    pipeline.mentor_indices(train_set, cfg.split, key)
+    mentor_set, student_set = balanced_split(train_set, cfg.split)
+    _check(cfg, mentor_set, pipeline.build_student_pool(cfg, student_set, foreign))
 
 
 def stage_sweep(cfg, data):
     """Per (ratio, seed), the run-all stages up to train-student in
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
     sweep.csv gets the per-ratio means over seeds. Every run shares data, as
-    prepare_data reads none of the keys a run replaces. The mentor's arch,
-    each ratio's mentor rows and its batch are checked before the first run."""
-    _fit_archs(cfg, data, ())
-    for ratio in cfg.sweep_ratios:
-        split = SplitConfig(mentor_fraction=ratio)
-        n = pipeline.mentor_indices(data[0], split, "sweep.ratios").size
-        _require_batch("mentor_train.batch_size", cfg.mentor_train, n)
+    prepare_data reads none of the keys a run replaces. _check_run checks every
+    run, a ratio with no mentor rows naming sweep.ratios, before the first."""
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
+    runs = [(ratio, [replace(
+        cfg,
+        output_dir=os.path.join(cfg.output_dir, "sweep", f"{ratio:g}_{seed}"),
+        student_archs=[cfg.mentor_arch],
+        split=SplitConfig(mentor_fraction=ratio, seed=seed),
+        mentor_train=replace(cfg.mentor_train, seed=seed),
+        student_train=replace(cfg.student_train, seed=seed),
+    ) for seed in seeds]) for ratio in cfg.sweep_ratios]
+    for _, run_cfgs in runs:
+        for run_cfg in run_cfgs:
+            _check_run(run_cfg, data, "sweep.ratios")
     rows = []
-    for ratio in cfg.sweep_ratios:
+    for ratio, run_cfgs in runs:
         mentor_accs, student_accs = [], []
-        for seed in seeds:
-            run_cfg = replace(
-                cfg,
-                output_dir=os.path.join(cfg.output_dir, "sweep", f"{ratio:g}_{seed}"),
-                student_archs=[cfg.mentor_arch],
-                split=SplitConfig(mentor_fraction=ratio, seed=seed),
-                mentor_train=replace(cfg.mentor_train, seed=seed),
-                student_train=replace(cfg.student_train, seed=seed),
-            )
+        for run_cfg in run_cfgs:
             stage_split(run_cfg, data)
             mentor_accs.append(stage_train_mentor(run_cfg, data)[-1].test_accuracy)
             stage_label(run_cfg, data)
             student_accs.append(stage_train_student(run_cfg, data)[0][-1].test_accuracy)
             _log(
-                f"sweep: ratio={ratio:g} seed={seed}"
+                f"sweep: ratio={ratio:g} seed={run_cfg.split.seed}"
                 f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}"
             )
         rows.append((ratio, float(np.mean(mentor_accs)), float(np.mean(student_accs))))
@@ -254,7 +264,7 @@ def stage_sweep(cfg, data):
 
 
 def stage_run_all(cfg, data):
-    _fit_archs(cfg, data, cfg.student_archs)
+    _check_run(cfg, data)
     stage_split(cfg, data)
     stage_train_mentor(cfg, data)
     stage_label(cfg, data)

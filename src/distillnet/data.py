@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, MissingArtifactError, ValidationError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -84,6 +84,16 @@ class LabeledImageSet:
         )
 
 
+def _read_file(path):
+    """The bytes of a dataset file; a MissingArtifactError naming it when it
+    cannot be read (missing, a directory, no permission)."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise MissingArtifactError(f"dataset file: {exc}") from None
+
+
 def _read_idx_header(buf, path, magic, fields):
     want = 4 + 4 * fields
     if len(buf) < want:
@@ -101,8 +111,7 @@ def load_idx(images_path, labels_path, num_classes=None):
     unsigned pixel bytes. Label file: >u32 magic 0x00000801, count, then count
     label bytes.
     """
-    with open(images_path, "rb") as f:
-        buf = f.read()
+    buf = _read_file(images_path)
     (count, rows, cols), payload = _read_idx_header(
         buf, images_path, IDX_IMAGE_MAGIC, 3
     )
@@ -113,8 +122,7 @@ def load_idx(images_path, labels_path, num_classes=None):
         )
     images = np.frombuffer(payload, dtype=np.uint8).reshape(count, 1, rows, cols)
 
-    with open(labels_path, "rb") as f:
-        buf = f.read()
+    buf = _read_file(labels_path)
     (label_count,), payload = _read_idx_header(buf, labels_path, IDX_LABEL_MAGIC, 1)
     if label_count != count:
         raise FormatError(
@@ -139,8 +147,7 @@ def load_cifar(paths, num_classes=10):
     record = 1 + CIFAR_PIXELS if num_classes == 10 else 2 + CIFAR_PIXELS
     all_images, all_labels = [], []
     for path in paths:
-        with open(path, "rb") as f:
-            buf = f.read()
+        buf = _read_file(path)
         if len(buf) == 0 or len(buf) % record != 0:
             raise FormatError(
                 f"{path}: {len(buf)} bytes is not a multiple of the "

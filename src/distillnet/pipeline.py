@@ -261,7 +261,10 @@ def write_split(cfg, train_set):
     """Compute the stratified split from cfg.split and record it as the
     manifest, replacing any earlier one."""
     mentor_idx = mentor_indices(train_set, cfg.split)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output_dir", f"cannot make it: {exc}") from None
     save_split_manifest(manifest_path(cfg.output_dir), train_set.n, mentor_idx)
 
 

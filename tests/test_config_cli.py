@@ -337,6 +337,8 @@ def test_a_split_with_no_mentor_rows_is_a_config_error(tmp_path, capsys, verb):
                  "student_train.batch_size=8"],
      "sweep.ratios: 0.2 of each class floors to no rows"),
     ("0.5,0.05", [], "mentor_train.batch_size: 16 exceeds the 8 rows it trains on"),
+    ("0.5,0.95", ["mentor_train.batch_size=4"],
+     "student_train.batch_size: 16 exceeds the 8 rows it trains on"),
 ])
 def test_sweep_checks_every_ratio_before_its_first_run(
         tmp_path, capsys, ratios, overrides, message):
@@ -366,6 +368,47 @@ def test_run_all_and_sweep_fit_every_arch_to_the_data_before_their_first_stage(
     assert f"config error: {key}: " in err
     assert "mp: 2x2 window would pool 1x1 below 1x1" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("overrides,code,message", [
+    (["student_train.batch_size=5000"], 1,
+     "config error: student_train.batch_size: 5000 exceeds the 120 rows it trains on"),
+    (["perturb.kind=inject", "perturb.ratio_bound=1", "perturb.foreign_classes=2",
+      "perturb.foreign_per_class=3"], 3, "error: need "),
+])
+def test_run_all_checks_both_sets_of_its_run_before_its_first_stage(
+        tmp_path, capsys, overrides, code, message):
+    # the mentor could train, but the pool cannot: refused before the split
+    # is written, not after the mentor has trained and labeled the pool
+    path, out = write_cfg(tmp_path)
+    assert run_cli("run-all", "--config", path,
+                   *[a for o in overrides for a in ("--override", o)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    if code == 1:
+        assert err.split(":")[1].strip() in KNOWN_KEYS
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb,key,arch", [
+    ("train-mentor", "mentor.arch", "mp(16)-fc-s"),
+    ("train-student", "student.archs", "fc(32)-fc-s,c-mp-mp-mp-mp-fc-s"),
+    ("baseline", "student.archs", "fc(32)-fc-s,c-mp-mp-mp-mp-fc-s"),
+])
+def test_single_verbs_fit_every_arch_to_their_set_before_the_first_model_trains(
+        tmp_path, capsys, verb, key, arch):
+    # the arch that does not fit 1x6x6 images is refused naming its key, and
+    # no checkpoint is written, not even of an arch before it that fits
+    path, out = write_cfg(tmp_path)
+    for earlier in ("split", "train-mentor", "label") if verb == "train-student" else ("split",):
+        assert run_cli(earlier, "--config", path) == 0
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert run_cli(verb, "--config", path, "--override", f"{key}={arch}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and "window would pool" in err, err
+    assert key in KNOWN_KEYS
+    assert sorted(os.listdir(out)) == before
 
 
 @pytest.mark.parametrize("verb,key,rows,ckpt", [
@@ -405,6 +448,17 @@ def test_a_config_file_that_is_not_readable_text_is_a_named_error(
     assert run_cli("split", "--config", str(path)) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("verb", ["split", "run-all"])
+def test_an_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, verb):
+    # a regular file where a parent directory should be: one line naming
+    # output_dir, never a traceback
+    (tmp_path / "file").write_text("")
+    path, _ = write_cfg(tmp_path, out=str(tmp_path / "file" / "run"))
+    assert run_cli(verb, "--config", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("cls", [TrainConfig, SplitConfig, PerturbConfig])
@@ -834,7 +888,7 @@ def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
                         lambda *args: pools.append(build(*args)) or pools[-1])
     stage_run_all(cfg, data)
     assert digests() == before
-    assert len(pools) == 2  # label, then one for every student
+    assert len(pools) == 3  # the check, label, then one for every student
     assert [p.label_reads for p in pools] == [0] * len(pools)
 
 

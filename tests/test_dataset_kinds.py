@@ -134,3 +134,22 @@ def test_mnist_has_ten_classes_whatever_labels_the_files_hold(tmp_path, capsys):
     assert code == 3
     assert "label 200 out of range for num_classes=10" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key", ["dataset.train_images", "dataset.train_batches",
+                                 "perturb.foreign_batches"])
+def test_a_dataset_path_that_cannot_be_read_is_a_missing_input(tmp_path, capsys, key):
+    # a directory where a dataset file should be: exit 2, one line naming the
+    # path, never a traceback
+    if key == "dataset.train_images":
+        cfg = mnist_config(tmp_path, [i % 10 for i in range(100)], [i % 10 for i in range(20)])
+    else:
+        cfg = cifar_config(tmp_path)
+    path = tmp_path / "exp.cfg"
+    path.write_text(cfg + f"output_dir={tmp_path / 'run'}\n")
+    argv = ["split", "--config", str(path), "--override", f"{key}={tmp_path}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing input: dataset file: ") and err.count("\n") == 1, err
+    assert str(tmp_path) in err
+    assert not os.path.exists(tmp_path / "run")
