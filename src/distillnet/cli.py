@@ -2,9 +2,10 @@
 
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
 edits, then ``--seed S`` as one ``<key>=S`` edit per ``*.seed`` key), loads
-the dataset once and hands it to its ``stage_<verb>`` (``bench`` also gets
---reps and --warmup), which trains its models one after another in this
-process and talks to the other verbs only through files under ``output_dir``:
+the dataset once and hands it to its ``stage_<verb>`` as a ``_Run``, which
+makes the split, the pool and the model list once for all the verb's stages
+(``bench`` also gets --reps and --warmup). A verb trains its models in turn in
+this process and talks to the other verbs only through files in output_dir:
 
   split          -> split_manifest.csv (always recomputed)
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
@@ -21,17 +22,18 @@ process and talks to the other verbs only through files under ``output_dir``:
 Exit codes: 0 success; 1 configuration problem (message names the offending
 key, or the flag: --reps must be >= 1, --warmup >= 0, or --config for a file
 that is not UTF-8), refused before any model trains: an arch its set does not
-fit, a batch_size larger than its set, a split with no mentor rows (run-all and
-sweep check every run first), or an output_dir that cannot be made; 2 a
-required input artifact, dataset file or the --config file is missing,
-unreadable or stale (made for another mentor.arch); 3 any other runtime
-failure. Progress and errors go to stderr, stdout stays clean, and every
-output is written atomically (no partial files).
+fit, a batch_size larger than its set, a split with no mentor rows, too few
+foreign rows for perturb.kind=inject (run-all and sweep check every run first),
+or an output_dir that cannot be made; 2 a required input artifact, dataset file
+or the --config file is missing, unreadable or stale (made for another
+mentor.arch); 3 any other runtime failure. Progress and errors go to stderr,
+stdout stays clean, and every output is written atomically (no partial files).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -56,10 +58,36 @@ def _log(msg):
 # stages
 
 
-def stage_split(cfg, data):
-    train_set, _, _ = data
-    pipeline.write_split(cfg, train_set)
-    mentor_set, student_set = pipeline.resolve_split(cfg, train_set)
+class _Run:
+    """A verb's inputs under one cfg: its prepared sets, and the split, pool and
+    models its stages derive from them, each made when first asked for, once."""
+
+    def __init__(self, cfg, train, test, foreign):
+        self.cfg, self.train, self.test, self.foreign = cfg, train, test, foreign
+
+    @functools.cached_property
+    def split(self):
+        """(mentor_set, student_set), replayed from the manifest."""
+        return pipeline.resolve_split(self.cfg, self.train)
+
+    @functools.cached_property
+    def pool(self):
+        """The student split with cfg's perturbation applied."""
+        return pipeline.build_student_pool(self.cfg, self.split[1], self.foreign)
+
+    @functools.cached_property
+    def models(self):
+        """[(model_id, stack)] - mentor and students must exist, baselines may."""
+        baselines = [m for m in _arch_ids("baseline", self.cfg)
+                     if os.path.exists(pipeline.ckpt_path(self.cfg.output_dir, m))]
+        return [(m, pipeline.load_checkpoint(pipeline.ckpt_path(self.cfg.output_dir, m)))
+                for m in ["mentor", *_arch_ids("student", self.cfg), *baselines]]
+
+
+def stage_split(cfg, run):
+    pipeline.write_split(cfg, run.train)
+    # read back: log the manifest's counts, and keep split's splitting.resolve span
+    mentor_set, student_set = pipeline.resolve_split(cfg, run.train)
     _log(f"split: {mentor_set.n} mentor / {student_set.n} pool images"
          f" -> {pipeline.manifest_path(cfg.output_dir)}")
 
@@ -84,40 +112,28 @@ def _train_and_save(cfg, model_id, arch, inputs):
     return logs
 
 
-def _check(cfg, mentor_set=None, pool=None):
-    """Refuse (exit 1), naming the key, what a set given cannot train: an arch
-    its image shape and class count do not fit, or a batch_size above its
-    rows. mentor.arch trains on mentor_set, student.archs on pool. Builds
-    each arch, trains nothing."""
-    sets = (("mentor", [cfg.mentor_arch], cfg.mentor_train, mentor_set),
-            ("student", cfg.student_archs, cfg.student_train, pool))
-    for who, archs, train_cfg, rows in sets:
-        if rows is None:
-            continue
-        for arch in archs:
-            try:
-                parse_arch(arch, rows.image_shape, rows.num_classes)
-            except ShapeError as exc:
-                raise ConfigError("mentor.arch" if who == "mentor" else "student.archs",
-                                  f"{arch}: {exc}") from None
-        if train_cfg.batch_size > rows.n:
-            raise ConfigError(f"{who}_train.batch_size",
-                              f"{train_cfg.batch_size} exceeds the {rows.n} rows it trains on")
+def _check(cfg, who, rows):
+    """Refuse (exit 1), naming the key, what rows cannot train as who's
+    ("mentor" or "student") set: an arch its image shape and class count do
+    not fit, or a batch_size above its rows. Builds each arch, trains nothing."""
+    mentor = who == "mentor"
+    for arch in [cfg.mentor_arch] if mentor else cfg.student_archs:
+        try:
+            parse_arch(arch, rows.image_shape, rows.num_classes)
+        except ShapeError as exc:
+            raise ConfigError("mentor.arch" if mentor else "student.archs",
+                              f"{arch}: {exc}") from None
+    batch = getattr(cfg, f"{who}_train").batch_size
+    if batch > rows.n:
+        raise ConfigError(f"{who}_train.batch_size",
+                          f"{batch} exceeds the {rows.n} rows it trains on")
 
 
-def stage_train_mentor(cfg, data):
+def stage_train_mentor(cfg, run):
     """Train the mentor on its split's hard labels; returns its epoch logs."""
-    train_set, test_set, _ = data
-    mentor_set, _ = pipeline.resolve_split(cfg, train_set)
-    _check(cfg, mentor_set=mentor_set)
-    inputs = (pipeline.train_baseline, cfg.mentor_train, (mentor_set,), test_set)
+    _check(cfg, "mentor", run.split[0])
+    inputs = (pipeline.train_baseline, cfg.mentor_train, (run.split[0],), run.test)
     return _train_and_save(cfg, "mentor", cfg.mentor_arch, inputs)
-
-
-def _student_pool(cfg, data):
-    train_set, test_set, foreign = data
-    _, student_set = pipeline.resolve_split(cfg, train_set)
-    return pipeline.build_student_pool(cfg, student_set, foreign), test_set
 
 
 def _require_mentor_arch(cfg, path, arch, verb):
@@ -127,12 +143,11 @@ def _require_mentor_arch(cfg, path, arch, verb):
                                    f" not {cfg.mentor_arch}; rerun `{verb}`")
 
 
-def stage_label(cfg, data):
-    pool, _ = _student_pool(cfg, data)
+def stage_label(cfg, run):
     path = pipeline.ckpt_path(cfg.output_dir, "mentor")
     mentor = pipeline.load_checkpoint(path)
     _require_mentor_arch(cfg, path, mentor.arch, "train-mentor")
-    soft = pipeline.generate_soft_labels(mentor, pool.images)
+    soft = pipeline.generate_soft_labels(mentor, run.pool.images)
     pipeline.save_soft_labels(soft, pipeline.soft_labels_path(cfg.output_dir))
     _log(f"label: {soft.rows.shape[0]} soft rows from {soft.mentor_id}"
          f" -> {pipeline.soft_labels_path(cfg.output_dir)}")
@@ -151,38 +166,27 @@ def _train_archs(kind, cfg, inputs):
             for model_id, arch in zip(_arch_ids(kind, cfg), cfg.student_archs)]
 
 
-def stage_train_student(cfg, data):
+def stage_train_student(cfg, run):
     """Every student learns the mentor's soft labels for the one pool."""
-    pool, test_set = _student_pool(cfg, data)
-    _check(cfg, pool=pool)
+    _check(cfg, "student", run.pool)
     path = pipeline.soft_labels_path(cfg.output_dir)
     soft = pipeline.load_soft_labels(path)
     _require_mentor_arch(cfg, path, soft.mentor_id, "label")
-    inputs = (pipeline.train_student, cfg.student_train, (pool.images, soft), test_set)
+    inputs = (pipeline.train_student, cfg.student_train, (run.pool.images, soft), run.test)
     return _train_archs("student", cfg, inputs)
 
 
-def stage_baseline(cfg, data):
+def stage_baseline(cfg, run):
     """Every baseline learns the pool's hard labels, the students' reference."""
-    pool, test_set = _student_pool(cfg, data)
-    _check(cfg, pool=pool)
-    inputs = (pipeline.train_baseline, cfg.student_train, (pool,), test_set)
+    _check(cfg, "student", run.pool)
+    inputs = (pipeline.train_baseline, cfg.student_train, (run.pool,), run.test)
     return _train_archs("baseline", cfg, inputs)
 
 
-def _load_models(cfg):
-    """[(model_id, stack)] - mentor and students must exist, baselines may."""
-    baselines = [m for m in _arch_ids("baseline", cfg)
-                 if os.path.exists(pipeline.ckpt_path(cfg.output_dir, m))]
-    return [(m, pipeline.load_checkpoint(pipeline.ckpt_path(cfg.output_dir, m)))
-            for m in ["mentor", *_arch_ids("student", cfg), *baselines]]
-
-
-def stage_eval(cfg, data):
-    _, test_set, _ = data
+def stage_eval(cfg, run):
     results, mentor_acc = [], None
-    for model_id, stack in _load_models(cfg):
-        acc, _ = evaluate(stack, test_set)
+    for model_id, stack in run.models:
+        acc, _ = evaluate(stack, run.test)
         if model_id == "mentor":
             mentor_acc, rel = acc, None
         else:
@@ -194,21 +198,19 @@ def stage_eval(cfg, data):
     _log(f"eval -> {report.summary_csv_path(cfg.output_dir)}")
 
 
-def stage_confusion(cfg, data):
-    _, test_set, _ = data
-    for model_id, stack in _load_models(cfg):
-        counts = confusion_matrix(stack, test_set)
+def stage_confusion(cfg, run):
+    for model_id, stack in run.models:
+        counts = confusion_matrix(stack, run.test)
         path = report.confusion_csv_path(cfg.output_dir, model_id)
         report.write_confusion(counts, path)
         errors = int(counts.sum() - np.trace(counts))
         _log(f"confusion: {model_id} ({errors} misclassified) -> {path}")
 
 
-def stage_bench(cfg, data, reps, warmup):
-    _, test_set, _ = data
+def stage_bench(cfg, run, reps, warmup):
     benches = []
-    for model_id, stack in _load_models(cfg):
-        result = bench_inference(stack, test_set, reps=reps, warmup=warmup,
+    for model_id, stack in run.models:
+        result = bench_inference(stack, run.test, reps=reps, warmup=warmup,
                                  model_id=model_id)
         benches.append(result)
         _log(f"bench: {model_id} mean={result.mean_s:.4f}s std={result.std_s:.4f}s"
@@ -217,43 +219,43 @@ def stage_bench(cfg, data, reps, warmup):
     _log(f"bench -> {report.bench_csv_path(cfg.output_dir)}")
 
 
-def _check_run(cfg, data, key="split.mentor_fraction"):
-    """_check a run's mentor split and pool, computed in memory from cfg.split
-    before the run writes anything; no mentor rows is a ConfigError naming key."""
-    train_set, _, foreign = data
-    pipeline.mentor_indices(train_set, cfg.split, key)
-    mentor_set, student_set = balanced_split(train_set, cfg.split)
-    _check(cfg, mentor_set, pipeline.build_student_pool(cfg, student_set, foreign))
+def _plan(run, key="split.mentor_fraction"):
+    """Give run the split that cfg.split makes, computed in memory before the
+    run writes anything, build its pool and _check both; returns run. No
+    mentor rows is a ConfigError naming key."""
+    pipeline.mentor_indices(run.train, run.cfg.split, key)
+    run.split = balanced_split(run.train, run.cfg.split)
+    _check(run.cfg, "mentor", run.split[0])
+    _check(run.cfg, "student", run.pool)
+    return run
 
 
-def stage_sweep(cfg, data):
+def stage_sweep(cfg, run):
     """Per (ratio, seed), the run-all stages up to train-student in
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
-    sweep.csv gets the per-ratio means over seeds. Every run shares data, as
-    prepare_data reads none of the keys a run replaces. _check_run checks every
-    run, a ratio with no mentor rows naming sweep.ratios, before the first."""
+    sweep.csv gets the per-ratio means over seeds. All runs share the one load,
+    as prepare_data reads no key a run replaces, and each is _planned before
+    the first one's stages, a ratio with no mentor rows naming sweep.ratios."""
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
-    runs = [(ratio, [replace(
+    runs = [(ratio, [_plan(_Run(replace(
         cfg,
         output_dir=os.path.join(cfg.output_dir, "sweep", f"{ratio:g}_{seed}"),
         student_archs=[cfg.mentor_arch],
         split=SplitConfig(mentor_fraction=ratio, seed=seed),
         mentor_train=replace(cfg.mentor_train, seed=seed),
         student_train=replace(cfg.student_train, seed=seed),
-    ) for seed in seeds]) for ratio in cfg.sweep_ratios]
-    for _, run_cfgs in runs:
-        for run_cfg in run_cfgs:
-            _check_run(run_cfg, data, "sweep.ratios")
+    ), run.train, run.test, run.foreign), "sweep.ratios")
+        for seed in seeds]) for ratio in cfg.sweep_ratios]
     rows = []
-    for ratio, run_cfgs in runs:
+    for ratio, ratio_runs in runs:
         mentor_accs, student_accs = [], []
-        for run_cfg in run_cfgs:
-            stage_split(run_cfg, data)
-            mentor_accs.append(stage_train_mentor(run_cfg, data)[-1].test_accuracy)
-            stage_label(run_cfg, data)
-            student_accs.append(stage_train_student(run_cfg, data)[0][-1].test_accuracy)
+        for one in ratio_runs:
+            stage_split(one.cfg, one)
+            mentor_accs.append(stage_train_mentor(one.cfg, one)[-1].test_accuracy)
+            stage_label(one.cfg, one)
+            student_accs.append(stage_train_student(one.cfg, one)[0][-1].test_accuracy)
             _log(
-                f"sweep: ratio={ratio:g} seed={run_cfg.split.seed}"
+                f"sweep: ratio={ratio:g} seed={one.cfg.split.seed}"
                 f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}"
             )
         rows.append((ratio, float(np.mean(mentor_accs)), float(np.mean(student_accs))))
@@ -263,14 +265,11 @@ def stage_sweep(cfg, data):
     _log(f"sweep -> {report.sweep_csv_path(cfg.output_dir)}")
 
 
-def stage_run_all(cfg, data):
-    _check_run(cfg, data)
-    stage_split(cfg, data)
-    stage_train_mentor(cfg, data)
-    stage_label(cfg, data)
-    stage_train_student(cfg, data)
-    stage_eval(cfg, data)
-    stage_confusion(cfg, data)
+def stage_run_all(cfg, run):
+    _plan(run)
+    for stage in (stage_split, stage_train_mentor, stage_label, stage_train_student,
+                  stage_eval, stage_confusion):
+        stage(cfg, run)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.override, args.seed)
         extra = (args.reps, args.warmup) if args.verb == "bench" else ()
-        globals()["stage_" + args.verb.replace("-", "_")](cfg, pipeline.prepare_data(cfg), *extra)
+        run = _Run(cfg, *pipeline.prepare_data(cfg))
+        globals()["stage_" + args.verb.replace("-", "_")](cfg, run, *extra)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledImageSet
-from .errors import FormatError, Ruled, ShapeError, ValidationError, at_least, ruled
+from .errors import ConfigError, FormatError, Ruled, ShapeError, ValidationError, at_least, ruled
 from .fileio import atomic_write_text, csv_text
 
 MANIFEST_HEADER = ["index", "assignment"]
@@ -144,9 +144,8 @@ def inject_ood(dataset, foreign, cfg):
         f = rng.uniform(0.0, cfg.ratio_bound)
         total += int(np.round(f * idx.size))
     if total > foreign.n:
-        raise ValidationError(
-            f"need {total} foreign rows but the foreign set has {foreign.n}"
-        )
+        raise ConfigError("perturb.ratio_bound",
+                          f"needs {total} foreign rows but the foreign set has {foreign.n}")
     picked = rng.permutation(foreign.n)[:total]
     images = np.concatenate([dataset.images, foreign.images[picked]])
     labels = np.concatenate(

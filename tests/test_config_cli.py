@@ -332,6 +332,11 @@ def test_a_split_with_no_mentor_rows_is_a_config_error(tmp_path, capsys, verb):
     assert not os.path.exists(pipeline.manifest_path(out))
 
 
+# a foreign set of 2 x 3 rows, too few for a ratio_bound of 1 on the pool
+INJECT_SHORT = ["perturb.kind=inject", "perturb.ratio_bound=1", "perturb.foreign_classes=2",
+                "perturb.foreign_per_class=3"]
+
+
 @pytest.mark.parametrize("ratios,overrides,message", [
     ("0.5,0.2", ["dataset.per_class=4", "mentor_train.batch_size=8",
                  "student_train.batch_size=8"],
@@ -339,12 +344,16 @@ def test_a_split_with_no_mentor_rows_is_a_config_error(tmp_path, capsys, verb):
     ("0.5,0.05", [], "mentor_train.batch_size: 16 exceeds the 8 rows it trains on"),
     ("0.5,0.95", ["mentor_train.batch_size=4"],
      "student_train.batch_size: 16 exceeds the 8 rows it trains on"),
+    ("0.5,0.25", ["perturb.kind=inject", "perturb.ratio_bound=1", "perturb.foreign_classes=2",
+                  "perturb.foreign_per_class=10"],
+     "perturb.ratio_bound: needs 28 foreign rows but the foreign set has 20"),
 ])
 def test_sweep_checks_every_ratio_before_its_first_run(
         tmp_path, capsys, ratios, overrides, message):
-    # the 0.5 run could train, but a later ratio gives the mentor no rows, or
-    # fewer rows than its batch: refused before the 0.5 run trains anything,
-    # naming the key the value came from
+    # the 0.5 run could train, but a later ratio gives the mentor no rows,
+    # fewer rows than its batch, or a pool needing more foreign rows than
+    # there are: refused before the 0.5 run trains anything, naming the key
+    # the value came from
     path, out = write_cfg(tmp_path, extra=f"sweep.ratios={ratios}\n")
     overrides = [*overrides, "mentor_train.epochs=1", "student_train.epochs=1"]
     assert run_cli("sweep", "--config", path,
@@ -373,8 +382,7 @@ def test_run_all_and_sweep_fit_every_arch_to_the_data_before_their_first_stage(
 @pytest.mark.parametrize("overrides,code,message", [
     (["student_train.batch_size=5000"], 1,
      "config error: student_train.batch_size: 5000 exceeds the 120 rows it trains on"),
-    (["perturb.kind=inject", "perturb.ratio_bound=1", "perturb.foreign_classes=2",
-      "perturb.foreign_per_class=3"], 3, "error: need "),
+    (INJECT_SHORT, 1, "config error: perturb.ratio_bound: needs "),
 ])
 def test_run_all_checks_both_sets_of_its_run_before_its_first_stage(
         tmp_path, capsys, overrides, code, message):
@@ -388,6 +396,21 @@ def test_run_all_checks_both_sets_of_its_run_before_its_first_stage(
     if code == 1:
         assert err.split(":")[1].strip() in KNOWN_KEYS
     assert not os.path.exists(out)
+
+
+def test_label_refuses_a_foreign_set_too_small_for_its_pool(tmp_path, capsys):
+    # the mentor trains (it never sees the pool), but label cannot build the
+    # pool it would label: exit 1 naming the key, and no soft labels written
+    path, out = write_cfg(tmp_path)
+    flags = [a for o in INJECT_SHORT for a in ("--override", o)]
+    for verb in ("split", "train-mentor"):
+        assert run_cli(verb, "--config", path, *flags) == 0
+    capsys.readouterr()
+    assert run_cli("label", "--config", path, *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: perturb.ratio_bound: needs ")
+    assert "foreign rows but the foreign set has 6" in err and err.count("\n") == 1, err
+    assert not os.path.exists(pipeline.soft_labels_path(out))
 
 
 @pytest.mark.parametrize("verb,key,arch", [
@@ -867,6 +890,17 @@ def test_cli_prepares_the_data_once_per_process(tmp_path, monkeypatch):
     assert counts == dict.fromkeys(STAGES, 1)
 
 
+def count_calls(monkeypatch, *names):
+    """{name: [result of each call]} of the pipeline functions named."""
+    calls = {}
+    for name in names:
+        real = getattr(pipeline, name)
+        calls[name] = []
+        monkeypatch.setattr(pipeline, name, lambda *args, real=real, out=calls[name]:
+                            out.append(real(*args)) or out[-1])
+    return calls
+
+
 def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
     # the stages of one run-all share the prepared arrays: none may write to
     # them, and no stage that builds the student pool may read its labels
@@ -882,14 +916,40 @@ def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
                 for s in data for arr in (s.images, s.labels)]
 
     before = digests()
-    pools = []
-    build = pipeline.build_student_pool
-    monkeypatch.setattr(pipeline, "build_student_pool",
-                        lambda *args: pools.append(build(*args)) or pools[-1])
-    stage_run_all(cfg, data)
+    calls = count_calls(monkeypatch, "build_student_pool", "resolve_split", "load_checkpoint")
+    stage_run_all(cfg, cli._Run(cfg, *data))
     assert digests() == before
-    assert len(pools) == 3  # the check, label, then one for every student
+    pools = calls["build_student_pool"]
+    assert len(pools) == 1  # the plan's, which label and every student share
     assert [p.label_reads for p in pools] == [0] * len(pools)
+    # split reads its manifest back; label loads the mentor, then eval loads
+    # the mentor and both students once for eval and confusion
+    assert len(calls["resolve_split"]) == 1
+    assert len(calls["load_checkpoint"]) == 4
+
+
+def test_sweep_builds_each_runs_pool_and_replays_its_manifest_once(tmp_path, monkeypatch):
+    # 2 ratios x 2 seeds: each run's plan builds its pool and its split
+    # reads its manifest back, and its later stages use what the plan made
+    path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
+    calls = count_calls(monkeypatch, "build_student_pool", "resolve_split")
+    assert run_cli("sweep", "--config", path) == 0
+    assert {name: len(out) for name, out in calls.items()} == {
+        "build_student_pool": 4, "resolve_split": 4}
+
+
+def test_a_verb_makes_only_the_sets_and_models_its_stage_asks_for(tmp_path, monkeypatch):
+    # train-mentor builds no pool and loads no checkpoint; eval, confusion
+    # and bench read checkpoints only, so they run without the manifest
+    path, out = write_cfg(tmp_path)
+    assert run_cli("run-all", "--config", path) == 0
+    calls = count_calls(monkeypatch, "build_student_pool", "load_checkpoint")
+    assert run_cli("train-mentor", "--config", path) == 0
+    assert calls == {"build_student_pool": [], "load_checkpoint": []}
+    os.remove(pipeline.manifest_path(out))
+    for verb in ("eval", "confusion", "bench"):
+        flags = ["--reps", "1", "--warmup", "0"] if verb == "bench" else []
+        assert run_cli(verb, "--config", path, *flags) == 0, verb
 
 
 def test_train_student_builds_the_pool_and_reads_the_labels_once(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from distillnet.data import LabeledImageSet, gen_synthetic
-from distillnet.errors import FormatError, ShapeError, ValidationError
+from distillnet.errors import ConfigError, FormatError, ShapeError, ValidationError
 from distillnet.splitting import (
     PerturbConfig,
     SplitConfig,
@@ -235,8 +235,10 @@ def test_inject_ood_deterministic():
 def test_inject_ood_exhausted_foreign_pool():
     ds = gen_synthetic(4, 100, (1, 4, 4), 0, 0.5)
     foreign = gen_synthetic(2, 3, (1, 4, 4), 1, 0.5)  # only 6 foreign rows
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError) as err:
         inject_ood(ds, foreign, PerturbConfig("inject", 1.0, seed=0))
+    assert err.value.key == "perturb.ratio_bound"
+    assert "foreign rows but the foreign set has 6" in err.value.message
 
 
 def test_inject_ood_shape_mismatch():
