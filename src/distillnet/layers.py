@@ -6,7 +6,9 @@ and widens no sum; ``LayerStack`` decides the dtype. Activations keep the
 (N, features), but their memory may be channels-last (N, H, W, C): Conv2d
 returns a view of its (N*H*W, C) GEMM rows and builds its input gradient
 channels-last, ReLU and MaxPool2d keep the order they are given, and
-BatchNorm reads a 4-d input as its channels-last rows and returns them. In both
+BatchNorm reads a 4-d input as its channels-last rows and returns them. No layer
+but the softmax caches its own output, so a ReLU may overwrite the fresh output of
+the conv, max-pool, fc or batchnorm before it. In both
 modes a conv unfolds and multiplies one cache-sized run of whole images at a
 time. Each kind writes only its maths, ``_forward(x, train, rng) -> (y, cache)``
 and ``_backward(dy, cache) -> dx``, and builds no cache in eval mode; ``Layer``
@@ -286,12 +288,15 @@ class FullyConnected(Layer):
 
 
 class ReLU(Layer):
-    """max(x, 0). Stacks insert these implicitly after conv/fc tokens."""
+    """max(x, 0), implicit after each conv (past the max-pools right after it)
+    and fc. The stack sets ``in_place`` where nothing else reads x, to overwrite it."""
 
     kind = "relu"
+    in_place = False
 
     def _forward(self, x, train, rng):
-        return np.maximum(x, 0.0), x > 0 if train else None
+        mask = x > 0 if train else None
+        return np.maximum(x, 0.0, out=x if self.in_place else None), mask
 
     def _backward(self, dy, mask):
         return dy * mask

@@ -26,8 +26,10 @@ Defaults when a token carries no arguments:
 
 A ReLU is inserted implicitly after every ``c`` and after every ``fc`` except
 the final one (the fc feeding softmax), unless the author already wrote an
-explicit ``relu`` as the following token. Every spec ends with exactly one
-``s``.
+explicit ``relu`` as the following token. A conv's goes after the ``mp``
+tokens right after it, so it reads only the pooled values: relu(max(w)) ==
+max(relu(w)) bit for bit, and neither layer holds state. A ReLU after a ``c``,
+``mp``, ``fc`` or ``bn`` writes in place. Every spec ends with exactly one ``s``.
 
 A spec expands to at most ``_MAX_TOKENS`` tokens, nests "(...)" at most
 ``_MAX_DEPTH`` deep and writes no integer longer than ``_MAX_DIGITS`` digits;
@@ -184,6 +186,7 @@ def _build_layers(tokens, shape, num_classes, rng):
     (channels, h, w) of each token's input until an fc, then (features,)."""
     layers = []
     pools = held = 0
+    due = False
     last_fc = max((i for i, t in enumerate(tokens) if t.kind == "fc"), default=None)
     for i, tok in enumerate(tokens[:-1]):
         kind, args = tok.kind, tok.args
@@ -217,9 +220,9 @@ def _build_layers(tokens, shape, num_classes, rng):
             layers.append(Dropout(float(args[0]) if args else 0.5))
         elif kind == "relu":
             layers.append(ReLU())
-        # implicit activation after conv and after every fc but the last
-        wants_relu = kind == "c" or (kind == "fc" and i != last_fc)
-        if wants_relu and tokens[i + 1].kind != "relu":
+        if kind != "mp":  # implicit activation after conv and every fc but the last
+            due = (kind == "c" or kind == "fc" and i != last_fc) and tokens[i + 1].kind != "relu"
+        if due and tokens[i + 1].kind != "mp":  # a conv's waits past its max-pools
             layers.append(ReLU())
     if math.prod(shape) != num_classes:
         raise ShapeError(
@@ -227,6 +230,9 @@ def _build_layers(tokens, shape, num_classes, rng):
             f"{num_classes}; the layer before s must give num_classes values"
         )
     layers.append(Softmax())
+    for prev, relu in zip(layers, layers[1:]):  # outputs that no caller or cache reads
+        if relu.kind == "relu":
+            relu.in_place = prev.kind in ("c", "mp", "fc", "bn")
     return layers
 
 

@@ -57,19 +57,20 @@ def invalid_distribution_row(rows):
             f" (sum {sums[bad]!r}, min {rows[bad].min()!r})")
 
 
-def cross_entropy(pred, target):
+def cross_entropy(pred, target, check_target=True):
     """Mean over rows of sum_k -target_k * ln(pred_k).
 
     Both arrays are (N, K); every target row must be a probability
-    distribution (see invalid_distribution_row). Entries of target that are
-    exactly 0 contribute nothing even if the matching pred entry underflowed
-    to 0.
+    distribution (see invalid_distribution_row); ``check_target=False`` is for
+    rows checked already, as ``train`` does once per call. Entries of target
+    that are exactly 0 contribute nothing even if the matching pred entry
+    underflowed to 0.
     """
     pred = np.asarray(pred, dtype=np.float64)  # wide: the loss sums the whole batch
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim != 2 or pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} and target {target.shape} must be equal 2-d shapes")
-    invalid = invalid_distribution_row(target)
+    invalid = check_target and invalid_distribution_row(target)
     if invalid:
         raise ValidationError(f"target {invalid}")
     active = target > 0
@@ -109,8 +110,8 @@ def _test_metrics(stack, test_set):
 def train(stack, images, targets, test_set, cfg, progress=None):
     """Train a stack on (images, target distributions) with SGD momentum.
 
-    targets may be one-hot rows or soft rows; the loop never looks at hard
-    labels. Each epoch shuffles with the config RNG (which also feeds
+    targets may be one-hot or soft rows, checked once; the loop never looks
+    at hard labels. Each epoch shuffles with the config RNG (which also feeds
     dropout), runs minibatches (final partial batch included), applies
     lr_decay, and evaluates on test_set. A batch whose loss is not finite
     stops training with a ValidationError naming the epoch and the batch.
@@ -125,6 +126,9 @@ def train(stack, images, targets, test_set, cfg, progress=None):
         raise ShapeError(f"targets shape {targets.shape} does not match {n} images")
     if cfg.batch_size > n:
         raise ValidationError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
+    invalid = invalid_distribution_row(targets)
+    if invalid:
+        raise ValidationError(f"target {invalid}")
 
     rng = np.random.default_rng(cfg.seed)
     stack.rng = rng
@@ -141,7 +145,7 @@ def train(stack, images, targets, test_set, cfg, progress=None):
         for batch, start in enumerate(range(0, n, cfg.batch_size), 1):
             sel = order[start : start + cfg.batch_size]
             batch_targets = targets[sel]
-            loss = cross_entropy(stack.forward(images[sel]), batch_targets)
+            loss = cross_entropy(stack.forward(images[sel]), batch_targets, check_target=False)
             if not np.isfinite(loss):
                 raise ValidationError(
                     f"{stack.arch}: training loss is {loss!r} at epoch {epoch}, "

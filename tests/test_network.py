@@ -205,18 +205,78 @@ def test_channel_default_doubles_per_pool():
 
 
 def test_implicit_relu_placement():
-    stack = parse_arch("c-mp-fc^2-s", (1, 8, 8), 4, seed=0)
-    assert [l.kind for l in stack.layers] == [
-        "c", "relu", "mp", "fc", "relu", "fc", "s",
-    ]
-    # the final fc (feeding softmax) gets no implicit relu
-    assert stack.layers[-2].kind == "fc"
+    # a conv's relu goes past the max-pools right after it; the final fc
+    # (feeding softmax) gets no implicit relu
+    for spec, kinds in [
+        ("c-mp-fc^2-s", ["c", "mp", "relu", "fc", "relu", "fc", "s"]),
+        ("c-mp-mp-fc-s", ["c", "mp", "mp", "relu", "fc", "s"]),
+    ]:
+        stack = parse_arch(spec, (1, 8, 8), 4, seed=0)
+        assert [l.kind for l in stack.layers] == kinds, spec
 
 
 def test_explicit_relu_suppresses_implicit():
     stack = parse_arch("c-relu-mp-fc-relu-fc-s", (1, 8, 8), 4, seed=0)
     layer_kinds = [l.kind for l in stack.layers]
     assert layer_kinds == ["c", "relu", "mp", "fc", "relu", "fc", "s"]
+
+
+# Each case's layers in the old relu-then-pool order, as indices into the new
+# order's layers: every conv's ReLU moved back in front of its max-pools.
+_RELU_FIRST = [
+    ("c-mp-fc-s", (1, 6, 6), [0, 2, 1, 3, 4]),
+    ("c-mp-mp-fc-s", (1, 8, 8), [0, 3, 1, 2, 4, 5]),
+    ("c(3,2)-mp(3)-fc-s", (2, 7, 8), [0, 2, 1, 3, 4]),  # a trailing row and columns
+    ("c^2-mp-fc-s", (1, 5, 5), [0, 1, 2, 4, 3, 5, 6]),
+]
+# many exact zeros of both signs: with non-positive biases these give conv
+# outputs that tie within a window and windows with no positive value
+_PIXEL = st.sampled_from([-2.0, -0.5, -0.0, -0.0, 0.0, 0.0, 0.0, 0.5, 1.5])
+_BIAS = st.sampled_from([-1.0, -0.25, -0.0, 0.0, 0.25])
+
+
+@pytest.mark.parametrize("spec, shape, old", _RELU_FIRST)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_pooling_before_the_relu_keeps_every_byte(spec, shape, old, data):
+    # relu(max(w)) == max(relu(w)): the new order gives the old order's
+    # probabilities, parameter gradients and predictions byte for byte
+    new = parse_arch(spec, shape, 3, seed=0)
+    layers = [parse_arch(spec, shape, 3, seed=0).layers[i] for i in old]
+    for relu in (l for l in layers if l.kind == "relu"):
+        relu.in_place = False  # as every ReLU was before
+    ref = network.LayerStack(layers, parse_tokens(spec), shape, 3)
+    kinds = [l.kind for l in layers]
+    assert all(kinds[i + 1] == "relu" for i, kind in enumerate(kinds) if kind == "c")
+    for a, b in zip(*([l for l in s.layers if l.kind == "c"] for s in (new, ref))):
+        a.params["bias"][:] = b.params["bias"][:] = data.draw(
+            st.lists(_BIAS, min_size=a.out_channels, max_size=a.out_channels))
+    size = 3 * shape[0] * shape[1] * shape[2]
+    x = np.array(data.draw(st.lists(_PIXEL, min_size=size, max_size=size))).reshape(3, *shape)
+    targets = np.eye(3)[[0, 1, 2]]
+    got = [new.forward(x).tobytes()] + [g.tobytes() for g in new.backward(targets)]
+    want = [ref.forward(x).tobytes()] + [g.tobytes() for g in ref.backward(targets)]
+    assert got == want
+    assert new.predict(x).tobytes() == ref.predict(x).tobytes()
+
+
+def test_relus_after_a_fresh_output_write_in_place():
+    stack = parse_arch("c-mp-fc^2-s", (1, 8, 8), 4, seed=0)
+    assert [l.in_place for l in stack.layers if l.kind == "relu"] == [True, True]
+    stack = parse_arch("relu-c-bn-relu-fc-s", (1, 8, 8), 4, seed=0)
+    assert [l.in_place for l in stack.layers if l.kind == "relu"] == [False, True, True]
+
+
+@pytest.mark.parametrize("spec", ["relu-fc-s", "d-relu-fc-s", "d(0.5)-relu-c(3,2)-mp-fc-s"])
+def test_a_relu_leaves_the_callers_images_alone(spec):
+    # the images reach these ReLUs uncopied: LayerStack.forward's asarray
+    # keeps float64 images, and eval-mode dropout passes them through
+    stack = parse_arch(spec, (1, 6, 6), 3, seed=0)
+    x = np.random.default_rng(2).normal(size=(4, 1, 6, 6))
+    before = x.tobytes()
+    stack.forward(x)
+    stack.predict(x)
+    assert x.tobytes() == before
 
 
 def test_final_fc_width_conflict_raises():

@@ -316,6 +316,27 @@ def test_train_validation_errors():
               TrainConfig(batch_size=train_set.n + 1))
 
 
+def test_train_checks_the_targets_once_before_any_batch(monkeypatch):
+    from distillnet import training
+
+    calls = []
+    check = training.invalid_distribution_row
+    monkeypatch.setattr(training, "invalid_distribution_row",
+                        lambda rows: calls.append(len(rows)) or check(rows))
+    train_set, test_set = small_task()
+    targets = one_hot_rows(train_set.labels, 4)
+    stack = parse_arch("fc(8)-fc-s", (1, 6, 6), 4, seed=0)
+    train(stack, train_set.images, targets, test_set, TrainConfig(epochs=2, batch_size=16))
+    assert calls == [train_set.n]  # 2 epochs of 8 batches, one check
+    # a bad row is refused by its index in the whole set, before a step is taken
+    targets[37] = [0.5, 0.5, 0.5, 0.0]
+    stack = parse_arch("fc(8)-fc-s", (1, 6, 6), 4, seed=0)
+    before = [p.copy() for p in stack.parameters()]
+    with pytest.raises(ValidationError, match="^target row 37 is not a probability"):
+        train(stack, train_set.images, targets, test_set, TrainConfig(batch_size=16))
+    assert all(np.array_equal(a, b) for a, b in zip(before, stack.parameters()))
+
+
 @pytest.mark.parametrize("stack_classes, test_classes", [(10, 4), (4, 10)])
 def test_train_refuses_a_test_set_of_another_class_count(stack_classes, test_classes):
     # the first epoch's test pass checks the class count, before any epoch is
