@@ -3,7 +3,7 @@
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
 edits, then ``--seed S`` as one ``<key>=S`` edit per ``*.seed`` key), loads
 the dataset once and hands it to its ``stage_<verb>`` as a ``_Run``, which
-makes the split, the pool and the model list once for all the verb's stages
+makes the split's rows and sets, the pool and the models once for its stages
 (``bench`` also gets --reps and --warmup). A verb trains its models in turn in
 this process and talks to the other verbs only through files in output_dir:
 
@@ -11,12 +11,12 @@ this process and talks to the other verbs only through files in output_dir:
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
   label          manifest + mentor.ckpt -> soft_labels.slbl
   train-student  manifest + soft_labels.slbl -> student_<x>.ckpt + epoch CSVs
-  baseline       manifest -> baseline_<x>.ckpt + epoch CSVs (hard labels)
+  baseline       manifest -> baseline_<x>.ckpt + epoch CSVs (labeled pool rows)
   eval           checkpoints -> summary.csv
   confusion      checkpoints -> confusion_<model>.csv
   bench          checkpoints -> bench.csv
   sweep          per (ratio, seed): split .. train-student in
-                 sweep/<ratio>_<seed>/ -> sweep.csv
+                 sweep/<ratio>_<seed>/, one run's sets held at a time -> sweep.csv
   run-all        split, train-mentor, label, train-student, eval, confusion
 
 Exit codes: 0 success; 1 configuration problem (message names the offending
@@ -25,9 +25,10 @@ that is not UTF-8), refused before any model trains: an arch its set does not
 fit, a batch_size larger than its set, a split with no mentor rows, too few
 foreign rows for perturb.kind=inject (run-all and sweep check every run first),
 or an output_dir that cannot be made; 2 a required input artifact, dataset file
-or the --config file is missing, unreadable or stale (made for another
-mentor.arch); 3 any other runtime failure. Progress and errors go to stderr,
-stdout stays clean, and every output is written atomically (no partial files).
+or the --config file is missing, unreadable or stale (of another mentor.arch or
+row count), naming the verb to rerun; 3 any other runtime failure. Progress and
+errors go to stderr, stdout stays clean, and every output is written atomically
+(no partial files).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import ConfigError, DistillError, MissingArtifactError, ShapeError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
 from .network import parse_arch
 from .report import ModelResult
-from .splitting import SplitConfig, balanced_split
+from .splitting import SplitConfig, split_indices
 
 
 def _log(msg):
@@ -59,15 +60,26 @@ def _log(msg):
 
 
 class _Run:
-    """A verb's inputs under one cfg: its prepared sets, and the split, pool and
-    models its stages derive from them, each made when first asked for, once."""
+    """A verb's inputs under one cfg: its prepared sets, and the rows, split, pool
+    and models its stages derive from them, each made when first asked for, once."""
 
-    def __init__(self, cfg, train, test, foreign):
-        self.cfg, self.train, self.test, self.foreign = cfg, train, test, foreign
+    def __init__(self, cfg, train, test, foreign, key="split.mentor_fraction"):
+        self.cfg, self.train, self.test, self.foreign, self.key = cfg, train, test, foreign, key
+
+    @functools.cached_property
+    def rows(self):
+        """(mentor_idx, student_idx) of cfg.split's stratified split of train;
+        a ConfigError naming key when the mentor gets no row at all."""
+        mentor_idx, student_idx = split_indices(self.train, self.cfg.split)
+        if mentor_idx.size == 0:
+            raise ConfigError(self.key, (
+                f"{self.cfg.split.mentor_fraction:g} of each class floors to no rows:"
+                f" 0 mentor / {self.train.n} pool images"))
+        return mentor_idx, student_idx
 
     @functools.cached_property
     def split(self):
-        """(mentor_set, student_set), replayed from the manifest."""
+        """(mentor_set, student_set) from the manifest, unless _plan made it from rows."""
         return pipeline.resolve_split(self.cfg, self.train)
 
     @functools.cached_property
@@ -85,7 +97,7 @@ class _Run:
 
 
 def stage_split(cfg, run):
-    pipeline.write_split(cfg, run.train)
+    pipeline.write_split(cfg, run.train.n, run.rows[0])
     # read back: log the manifest's counts, and keep split's splitting.resolve span
     mentor_set, student_set = pipeline.resolve_split(cfg, run.train)
     _log(f"split: {mentor_set.n} mentor / {student_set.n} pool images"
@@ -172,14 +184,20 @@ def stage_train_student(cfg, run):
     path = pipeline.soft_labels_path(cfg.output_dir)
     soft = pipeline.load_soft_labels(path)
     _require_mentor_arch(cfg, path, soft.mentor_id, "label")
+    if soft.rows.shape[0] != run.pool.n:
+        raise MissingArtifactError(f"{path} holds {soft.rows.shape[0]} rows for a"
+                                   f" {run.pool.n}-image pool; rerun `label`")
     inputs = (pipeline.train_student, cfg.student_train, (run.pool.images, soft), run.test)
     return _train_archs("student", cfg, inputs)
 
 
 def stage_baseline(cfg, run):
-    """Every baseline learns the pool's hard labels, the students' reference."""
-    _check(cfg, "student", run.pool)
-    inputs = (pipeline.train_baseline, cfg.student_train, (run.pool,), run.test)
+    """Every baseline learns the hard labels of the pool's labeled rows (not
+    the injected foreign ones), the students' reference."""
+    labeled = np.flatnonzero(run.pool.labels >= 0)
+    pool = run.pool if labeled.size == run.pool.n else run.pool.subset(labeled)
+    _check(cfg, "student", pool)
+    inputs = (pipeline.train_baseline, cfg.student_train, (pool,), run.test)
     return _train_archs("baseline", cfg, inputs)
 
 
@@ -219,12 +237,10 @@ def stage_bench(cfg, run, reps, warmup):
     _log(f"bench -> {report.bench_csv_path(cfg.output_dir)}")
 
 
-def _plan(run, key="split.mentor_fraction"):
-    """Give run the split that cfg.split makes, computed in memory before the
-    run writes anything, build its pool and _check both; returns run. No
-    mentor rows is a ConfigError naming key."""
-    pipeline.mentor_indices(run.train, run.cfg.split, key)
-    run.split = balanced_split(run.train, run.cfg.split)
+def _plan(run):
+    """Give run the split its rows make, build its pool and _check both, before
+    the run writes anything; returns run."""
+    run.split = tuple(map(run.train.subset, run.rows))
     _check(run.cfg, "mentor", run.split[0])
     _check(run.cfg, "student", run.pool)
     return run
@@ -234,26 +250,31 @@ def stage_sweep(cfg, run):
     """Per (ratio, seed), the run-all stages up to train-student in
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
     sweep.csv gets the per-ratio means over seeds. All runs share the one load,
-    as prepare_data reads no key a run replaces, and each is _planned before
-    the first one's stages, a ratio with no mentor rows naming sweep.ratios."""
+    as prepare_data reads no key a run replaces. Each is _planned first, a ratio
+    with no mentor rows naming sweep.ratios, and holds only its rows till its turn."""
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
-    runs = [(ratio, [_plan(_Run(replace(
+    runs = [(ratio, [_Run(replace(
         cfg,
         output_dir=os.path.join(cfg.output_dir, "sweep", f"{ratio:g}_{seed}"),
         student_archs=[cfg.mentor_arch],
         split=SplitConfig(mentor_fraction=ratio, seed=seed),
         mentor_train=replace(cfg.mentor_train, seed=seed),
         student_train=replace(cfg.student_train, seed=seed),
-    ), run.train, run.test, run.foreign), "sweep.ratios")
+    ), run.train, run.test, run.foreign, "sweep.ratios")
         for seed in seeds]) for ratio in cfg.sweep_ratios]
+    for one in [one for _, ratio_runs in runs for one in ratio_runs]:
+        _plan(one)
+        del one.split, one.pool
     rows = []
     for ratio, ratio_runs in runs:
         mentor_accs, student_accs = [], []
         for one in ratio_runs:
+            _plan(one)
             stage_split(one.cfg, one)
             mentor_accs.append(stage_train_mentor(one.cfg, one)[-1].test_accuracy)
             stage_label(one.cfg, one)
             student_accs.append(stage_train_student(one.cfg, one)[0][-1].test_accuracy)
+            del one.split, one.pool
             _log(
                 f"sweep: ratio={ratio:g} seed={one.cfg.split.seed}"
                 f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}"

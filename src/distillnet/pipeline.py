@@ -55,7 +55,6 @@ from .splitting import (
     load_split_manifest,
     reduce_unbalanced,
     save_split_manifest,
-    split_indices,
 )
 from .training import invalid_distribution_row, train
 
@@ -246,26 +245,14 @@ def prepare_data(cfg: ExperimentConfig):
     return train_set, test_set, foreign
 
 
-def mentor_indices(train_set, split_cfg, key="split.mentor_fraction"):
-    """The mentor rows of split_cfg's stratified split of train_set; a
-    ConfigError naming ``key`` when its fraction floors to no row at all."""
-    mentor_idx, _ = split_indices(train_set, split_cfg)
-    if mentor_idx.size == 0:
-        raise ConfigError(key, (
-            f"{split_cfg.mentor_fraction:g} of each class floors to no rows:"
-            f" 0 mentor / {train_set.n} pool images"))
-    return mentor_idx
-
-
-def write_split(cfg, train_set):
-    """Compute the stratified split from cfg.split and record it as the
-    manifest, replacing any earlier one."""
-    mentor_idx = mentor_indices(train_set, cfg.split)
+def write_split(cfg, n, mentor_rows):
+    """Record mentor_rows of an n-row train set as the manifest, replacing any
+    earlier one."""
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError("output_dir", f"cannot make it: {exc}") from None
-    save_split_manifest(manifest_path(cfg.output_dir), train_set.n, mentor_idx)
+    save_split_manifest(manifest_path(cfg.output_dir), n, mentor_rows)
 
 
 def resolve_split(cfg, train_set):
@@ -273,7 +260,11 @@ def resolve_split(cfg, train_set):
     path = manifest_path(cfg.output_dir)
     if not os.path.exists(path):
         raise MissingArtifactError(f"split manifest not found: {path} (run `split` first)")
-    return apply_split_manifest(train_set, load_split_manifest(path))
+    mask = load_split_manifest(path)
+    if mask.size != train_set.n:
+        raise MissingArtifactError(f"{path} covers {mask.size} rows, the dataset has"
+                                   f" {train_set.n}; rerun `split`")
+    return apply_split_manifest(train_set, mask)
 
 
 def build_student_pool(cfg, student_set, foreign):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -713,14 +715,11 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("train-mentor", "--config", path) == 2  # no manifest yet
     assert run_cli("eval", "--config", path) == 2          # no checkpoints yet
     assert run_cli("label", "--config", path) == 2
-    # 3: runtime failures (baseline on a sentinel-bearing pool)
-    assert run_cli("split", "--config", path) == 0
-    assert run_cli(
-        "baseline", "--config", path,
-        "--override", "perturb.kind=inject",
-        "--override", "perturb.ratio_bound=0.5",
-        "--override", "perturb.foreign_per_class=200",
-    ) == 3
+    # 3: runtime failures (soft labels of other images, for a pool of their size)
+    for verb in ("split", "train-mentor", "label"):
+        assert run_cli(verb, "--config", path) == 0
+    assert run_cli("train-student", "--config", path,
+                   "--override", "dataset.seed=1") == 3
 
 
 def test_cli_trains_a_mentor_whose_softmax_follows_a_pool(tmp_path):
@@ -759,6 +758,57 @@ def test_cli_train_student_refuses_labels_of_another_mentor_arch(tmp_path, capsy
     err = capsys.readouterr().err
     assert "soft_labels.slbl" in err and "mentor.arch" in err and "`label`" in err
     assert not os.path.exists(os.path.join(out, "student_a.ckpt"))
+
+
+def test_cli_refuses_a_manifest_of_another_dataset_size(tmp_path, capsys):
+    # a manifest written for 4 x 40 rows is stale once the dataset holds
+    # 4 x 60: exit 2 naming the verb that rewrites it, not a runtime error
+    path, out = write_cfg(tmp_path)
+    assert run_cli("split", "--config", path) == 0
+    capsys.readouterr()
+    assert run_cli("train-mentor", "--config", path,
+                   "--override", "dataset.per_class=60") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing input: ") and err.count("\n") == 1, err
+    assert "split_manifest.csv covers 160 rows, the dataset has 240" in err
+    assert "`split`" in err
+    assert not os.path.exists(os.path.join(out, "mentor.ckpt"))
+
+
+def test_cli_train_student_refuses_labels_of_another_pool_size(tmp_path, capsys):
+    # labels made for the plain pool are stale once perturb.kind changes its
+    # size: exit 2 naming `label`; labels for a pool of the same size but
+    # other images stay a checksum failure, exit 3
+    path, out = write_cfg(tmp_path)
+    for verb in ("split", "train-mentor", "label"):
+        assert run_cli(verb, "--config", path) == 0
+    capsys.readouterr()
+    assert run_cli("train-student", "--config", path, "--override", "perturb.kind=reduce",
+                   "--override", "perturb.ratio_bound=0.5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing input: ") and err.count("\n") == 1, err
+    assert "soft_labels.slbl holds 120 rows for a " in err and "`label`" in err
+    assert run_cli("train-student", "--config", path, "--override", "dataset.seed=1") == 3
+    assert "soft-label checksum does not match" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "student_a.ckpt"))
+
+
+def test_cli_baseline_trains_on_the_labeled_rows_of_an_injected_pool(tmp_path, capsys):
+    # the injected foreign rows carry no label to learn, so the baselines
+    # train on the pool's 120 labeled rows; a batch above them names its key
+    path, out = write_cfg(tmp_path)
+    flags = [a for o in ("perturb.kind=inject", "perturb.ratio_bound=0.5",
+                         "perturb.foreign_per_class=200") for a in ("--override", o)]
+    assert run_cli("split", "--config", path, *flags) == 0
+    capsys.readouterr()
+    assert run_cli("baseline", "--config", path, *flags,
+                   "--override", "student_train.batch_size=121") == 1
+    assert ("config error: student_train.batch_size: 121 exceeds the 120 rows it trains on"
+            in capsys.readouterr().err)
+    assert not os.path.exists(os.path.join(out, "baseline_a.ckpt"))
+    assert run_cli("baseline", "--config", path, *flags) == 0
+    for name in ("baseline_a.ckpt", "baseline_b.ckpt", "epochs_baseline_a.csv"):
+        assert os.path.exists(os.path.join(out, name)), name
 
 
 def test_cli_diverged_training_exits_3_without_checkpoint(tmp_path, capsys):
@@ -929,13 +979,51 @@ def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
 
 
 def test_sweep_builds_each_runs_pool_and_replays_its_manifest_once(tmp_path, monkeypatch):
-    # 2 ratios x 2 seeds: each run's plan builds its pool and its split
-    # reads its manifest back, and its later stages use what the plan made
+    # 2 ratios x 2 seeds: each run's pool is built once by the check of every
+    # run and once more just before its own stages, which share it; its split
+    # reads its manifest back once
     path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
     calls = count_calls(monkeypatch, "build_student_pool", "resolve_split")
     assert run_cli("sweep", "--config", path) == 0
     assert {name: len(out) for name, out in calls.items()} == {
-        "build_student_pool": 4, "resolve_split": 4}
+        "build_student_pool": 8, "resolve_split": 4}
+
+
+def test_sweep_holds_one_runs_pool_at_a_time(tmp_path, monkeypatch):
+    # every run is checked before the first trains, but keeps none of the
+    # sets its check built: when a run's mentor starts, its own pool is the
+    # only one alive
+    path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
+    pools, alive = [], []
+    build, train_mentor = pipeline.build_student_pool, cli.stage_train_mentor
+
+    def recording_build(*args):
+        pool = build(*args)
+        pools.append(weakref.ref(pool))
+        return pool
+
+    def counting_train_mentor(cfg, run):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in pools))
+        return train_mentor(cfg, run)
+
+    monkeypatch.setattr(pipeline, "build_student_pool", recording_build)
+    monkeypatch.setattr(cli, "stage_train_mentor", counting_train_mentor)
+    assert run_cli("sweep", "--config", path) == 0
+    assert len(alive) == 4 and max(alive) <= 1, alive
+
+
+@pytest.mark.parametrize("verbs,count", [(("run-all",), 1), (("sweep",), 4)])
+def test_cli_splits_once_per_run(tmp_path, monkeypatch, verbs, count):
+    # run-all computes its split once, for its check and its manifest; each
+    # (ratio, seed) run of a 2 x 2 sweep computes its own once
+    path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
+    calls = []
+    split = cli.split_indices
+    monkeypatch.setattr(cli, "split_indices", lambda *args: calls.append(1) or split(*args))
+    for verb in verbs:
+        assert run_cli(verb, "--config", path) == 0
+    assert len(calls) == count
 
 
 def test_a_verb_makes_only_the_sets_and_models_its_stage_asks_for(tmp_path, monkeypatch):
