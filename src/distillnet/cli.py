@@ -3,9 +3,10 @@
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
 edits, then ``--seed S`` as one ``<key>=S`` edit per ``*.seed`` key), loads
 the dataset once and hands it to its ``stage_<verb>`` as a ``_Run``, which
-makes the split's rows and sets, the pool and the models once for its stages
-(``bench`` also gets --reps and --warmup). A verb trains its models in turn in
-this process and talks to the other verbs only through files in output_dir:
+makes the split (train row indices, gathered only by a stage that reads their
+pixels), the pool and the models once for its stages (``bench`` also gets
+--reps and --warmup). A verb trains its models in turn in this process and
+talks to the other verbs only through files in output_dir:
 
   split          -> split_manifest.csv (always recomputed)
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
@@ -16,7 +17,7 @@ this process and talks to the other verbs only through files in output_dir:
   confusion      checkpoints -> confusion_<model>.csv
   bench          checkpoints -> bench.csv
   sweep          per (ratio, seed): split .. train-student in
-                 sweep/<ratio>_<seed>/, one run's sets held at a time -> sweep.csv
+                 sweep/<ratio>_<seed>/, one run's pool held at a time -> sweep.csv
   run-all        split, train-mentor, label, train-student, eval, confusion
 
 Exit codes: 0 success; 1 configuration problem (message names the offending
@@ -25,10 +26,10 @@ that is not UTF-8), refused before any model trains: an arch its set does not
 fit, a batch_size larger than its set, a split with no mentor rows, too few
 foreign rows for perturb.kind=inject (run-all and sweep check every run first),
 or an output_dir that cannot be made; 2 a required input artifact, dataset file
-or the --config file is missing, unreadable or stale (of another mentor.arch or
-row count), naming the verb to rerun; 3 any other runtime failure. Progress and
-errors go to stderr, stdout stays clean, and every output is written atomically
-(no partial files).
+or the --config file is missing, unreadable or stale (of another arch, row count
+or pool), naming the verb that writes it; 3 any other runtime failure. Progress
+and errors go to stderr, stdout stays clean, and every output is written
+atomically (no partial files).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def _log(msg):
 
 
 class _Run:
-    """A verb's inputs under one cfg: its prepared sets, and the rows, split, pool
-    and models its stages derive from them, each made when first asked for, once."""
+    """A verb's inputs under one cfg: its prepared sets, and the split (rows of train),
+    pool and models its stages derive from them, each made when first asked for, once."""
 
     def __init__(self, cfg, train, test, foreign, key="split.mentor_fraction"):
         self.cfg, self.train, self.test, self.foreign, self.key = cfg, train, test, foreign, key
@@ -79,28 +80,37 @@ class _Run:
 
     @functools.cached_property
     def split(self):
-        """(mentor_set, student_set) from the manifest, unless _plan made it from rows."""
+        """(mentor_idx, student_idx) from the manifest, unless _plan gave it rows."""
         return pipeline.resolve_split(self.cfg, self.train)
 
     @functools.cached_property
     def pool(self):
-        """The student split with cfg's perturbation applied."""
-        return pipeline.build_student_pool(self.cfg, self.split[1], self.foreign)
+        """The student rows of train with cfg's perturbation applied."""
+        return pipeline.build_student_pool(self.cfg, self.train.subset(self.split[1]),
+                                           self.foreign)
 
     @functools.cached_property
     def models(self):
-        """[(model_id, stack)] - mentor and students must exist, baselines may."""
-        baselines = [m for m in _arch_ids("baseline", self.cfg)
-                     if os.path.exists(pipeline.ckpt_path(self.cfg.output_dir, m))]
-        return [(m, pipeline.load_checkpoint(pipeline.ckpt_path(self.cfg.output_dir, m)))
-                for m in ["mentor", *_arch_ids("student", self.cfg), *baselines]]
+        """[(model_id, stack)], each of the arch cfg gives it - mentor and
+        students must exist, baselines may."""
+        cfg, models = self.cfg, []
+        wanted = [("mentor", "mentor.arch", cfg.mentor_arch, "train-mentor")] + [
+            (m, "student.archs", arch, verb)
+            for kind, verb in (("student", "train-student"), ("baseline", "baseline"))
+            for m, arch in zip(_arch_ids(kind, cfg), cfg.student_archs)
+            if kind == "student" or os.path.exists(pipeline.ckpt_path(cfg.output_dir, m))]
+        for model_id, key, arch, verb in wanted:
+            path = pipeline.ckpt_path(cfg.output_dir, model_id)
+            models.append((model_id, pipeline.load_checkpoint(path)))
+            _require_arch(path, models[-1][1].arch, key, arch, verb)
+        return models
 
 
 def stage_split(cfg, run):
     pipeline.write_split(cfg, run.train.n, run.rows[0])
-    # read back: log the manifest's counts, and keep split's splitting.resolve span
-    mentor_set, student_set = pipeline.resolve_split(cfg, run.train)
-    _log(f"split: {mentor_set.n} mentor / {student_set.n} pool images"
+    # a lone split replays the manifest it wrote; run-all and sweep log their plan
+    mentor_idx, student_idx = run.split
+    _log(f"split: {mentor_idx.size} mentor / {student_idx.size} pool images"
          f" -> {pipeline.manifest_path(cfg.output_dir)}")
 
 
@@ -124,41 +134,41 @@ def _train_and_save(cfg, model_id, arch, inputs):
     return logs
 
 
-def _check(cfg, who, rows):
-    """Refuse (exit 1), naming the key, what rows cannot train as who's
-    ("mentor" or "student") set: an arch its image shape and class count do
-    not fit, or a batch_size above its rows. Builds each arch, trains nothing."""
-    mentor = who == "mentor"
+def _check(run, who, n):
+    """Refuse (exit 1), naming the key, what n rows of run's images cannot train
+    as who's ("mentor" or "student") set: an arch their image shape and class
+    count do not fit, or a batch_size above n. Builds each arch, trains nothing."""
+    cfg, mentor = run.cfg, who == "mentor"
     for arch in [cfg.mentor_arch] if mentor else cfg.student_archs:
         try:
-            parse_arch(arch, rows.image_shape, rows.num_classes)
+            parse_arch(arch, run.train.image_shape, run.train.num_classes)
         except ShapeError as exc:
             raise ConfigError("mentor.arch" if mentor else "student.archs",
                               f"{arch}: {exc}") from None
     batch = getattr(cfg, f"{who}_train").batch_size
-    if batch > rows.n:
+    if batch > n:
         raise ConfigError(f"{who}_train.batch_size",
-                          f"{batch} exceeds the {rows.n} rows it trains on")
+                          f"{batch} exceeds the {n} rows it trains on")
 
 
 def stage_train_mentor(cfg, run):
     """Train the mentor on its split's hard labels; returns its epoch logs."""
-    _check(cfg, "mentor", run.split[0])
-    inputs = (pipeline.train_baseline, cfg.mentor_train, (run.split[0],), run.test)
+    _check(run, "mentor", run.split[0].size)
+    inputs = (pipeline.train_baseline, cfg.mentor_train, (run.train.subset(run.split[0]),),
+              run.test)
     return _train_and_save(cfg, "mentor", cfg.mentor_arch, inputs)
 
 
-def _require_mentor_arch(cfg, path, arch, verb):
-    """Refuse (exit 2) an input made for another mentor.arch than cfg's."""
-    if arch != cfg.mentor_arch:
-        raise MissingArtifactError(f"{path} was made for mentor.arch={arch},"
-                                   f" not {cfg.mentor_arch}; rerun `{verb}`")
+def _require_arch(path, made, key, arch, verb):
+    """Refuse (exit 2), naming verb, an input made by an arch other than arch, key's value."""
+    if made != arch:
+        raise MissingArtifactError(f"{path} was made for {key}={made}, not {arch}; rerun `{verb}`")
 
 
 def stage_label(cfg, run):
     path = pipeline.ckpt_path(cfg.output_dir, "mentor")
     mentor = pipeline.load_checkpoint(path)
-    _require_mentor_arch(cfg, path, mentor.arch, "train-mentor")
+    _require_arch(path, mentor.arch, "mentor.arch", cfg.mentor_arch, "train-mentor")
     soft = pipeline.generate_soft_labels(mentor, run.pool.images)
     pipeline.save_soft_labels(soft, pipeline.soft_labels_path(cfg.output_dir))
     _log(f"label: {soft.rows.shape[0]} soft rows from {soft.mentor_id}"
@@ -180,13 +190,15 @@ def _train_archs(kind, cfg, inputs):
 
 def stage_train_student(cfg, run):
     """Every student learns the mentor's soft labels for the one pool."""
-    _check(cfg, "student", run.pool)
+    _check(run, "student", run.pool.n)
     path = pipeline.soft_labels_path(cfg.output_dir)
     soft = pipeline.load_soft_labels(path)
-    _require_mentor_arch(cfg, path, soft.mentor_id, "label")
+    _require_arch(path, soft.mentor_id, "mentor.arch", cfg.mentor_arch, "label")
     if soft.rows.shape[0] != run.pool.n:
         raise MissingArtifactError(f"{path} holds {soft.rows.shape[0]} rows for a"
                                    f" {run.pool.n}-image pool; rerun `label`")
+    if soft.source_checksum != pipeline.image_payload_checksum(run.pool.images):
+        raise MissingArtifactError(f"{path} was made for another pool's images; rerun `label`")
     inputs = (pipeline.train_student, cfg.student_train, (run.pool.images, soft), run.test)
     return _train_archs("student", cfg, inputs)
 
@@ -196,7 +208,7 @@ def stage_baseline(cfg, run):
     the injected foreign ones), the students' reference."""
     labeled = np.flatnonzero(run.pool.labels >= 0)
     pool = run.pool if labeled.size == run.pool.n else run.pool.subset(labeled)
-    _check(cfg, "student", pool)
+    _check(run, "student", pool.n)
     inputs = (pipeline.train_baseline, cfg.student_train, (pool,), run.test)
     return _train_archs("baseline", cfg, inputs)
 
@@ -238,11 +250,11 @@ def stage_bench(cfg, run, reps, warmup):
 
 
 def _plan(run):
-    """Give run the split its rows make, build its pool and _check both, before
+    """Give run its rows as its split, build its pool and _check both, before
     the run writes anything; returns run."""
-    run.split = tuple(map(run.train.subset, run.rows))
-    _check(run.cfg, "mentor", run.split[0])
-    _check(run.cfg, "student", run.pool)
+    run.split = run.rows
+    _check(run, "mentor", run.split[0].size)
+    _check(run, "student", run.pool.n)
     return run
 
 
@@ -251,7 +263,7 @@ def stage_sweep(cfg, run):
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
     sweep.csv gets the per-ratio means over seeds. All runs share the one load,
     as prepare_data reads no key a run replaces. Each is _planned first, a ratio
-    with no mentor rows naming sweep.ratios, and holds only its rows till its turn."""
+    with no mentor rows naming sweep.ratios, and holds no pool till its turn."""
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
     runs = [(ratio, [_Run(replace(
         cfg,
@@ -263,8 +275,7 @@ def stage_sweep(cfg, run):
     ), run.train, run.test, run.foreign, "sweep.ratios")
         for seed in seeds]) for ratio in cfg.sweep_ratios]
     for one in [one for _, ratio_runs in runs for one in ratio_runs]:
-        _plan(one)
-        del one.split, one.pool
+        del _plan(one).pool
     rows = []
     for ratio, ratio_runs in runs:
         mentor_accs, student_accs = [], []
@@ -274,11 +285,9 @@ def stage_sweep(cfg, run):
             mentor_accs.append(stage_train_mentor(one.cfg, one)[-1].test_accuracy)
             stage_label(one.cfg, one)
             student_accs.append(stage_train_student(one.cfg, one)[0][-1].test_accuracy)
-            del one.split, one.pool
-            _log(
-                f"sweep: ratio={ratio:g} seed={one.cfg.split.seed}"
-                f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}"
-            )
+            del one.pool
+            _log(f"sweep: ratio={ratio:g} seed={one.cfg.split.seed}"
+                 f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}")
         rows.append((ratio, float(np.mean(mentor_accs)), float(np.mean(student_accs))))
         _log(f"sweep: ratio={ratio:g} mentor={rows[-1][1]:.4f}"
              f" student={rows[-1][2]:.4f} (mean)")

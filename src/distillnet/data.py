@@ -255,14 +255,13 @@ def subset_classes(dataset, classes, per_class=None):
     )
 
 
-def standardize_per_channel(train, test):
-    """Standardize both sets by the train set's per-channel mean/std.
-
-    Opt-in for CIFAR-style runs; the output is no longer confined to [0, 1].
-    """
+def standardize_per_channel(train, *others):
+    """(train, *others), each standardized by the train set's per-channel
+    mean/std (a None stays None). Opt-in for CIFAR-style runs; the output is
+    no longer confined to [0, 1]."""
     mean = train.images.mean(axis=(0, 2, 3), keepdims=True)
     std = train.images.std(axis=(0, 2, 3), keepdims=True)
     std = np.where(std < 1e-12, 1.0, std)
-    new_train = LabeledImageSet((train.images - mean) / std, train.labels, train.num_classes)
-    new_test = LabeledImageSet((test.images - mean) / std, test.labels, test.num_classes)
-    return new_train, new_test
+    return tuple(None if s is None else
+                 LabeledImageSet((s.images - mean) / std, s.labels, s.num_classes)
+                 for s in (train, *others))

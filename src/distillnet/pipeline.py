@@ -50,7 +50,6 @@ from .errors import (
 from .fileio import atomic_write_bytes
 from .network import parse_arch
 from .splitting import (
-    apply_split_manifest,
     inject_ood,
     load_split_manifest,
     reduce_unbalanced,
@@ -123,7 +122,7 @@ class _Cursor:
 
     def __init__(self, path, magic, what, writers):
         if not os.path.exists(path):
-            raise MissingArtifactError(f"{what} not found: {path}")
+            raise MissingArtifactError(f"{what} not found: {path}; run {writers} to write it")
         with open(path, "rb") as f:
             buf = f.read()
         self.path = path
@@ -230,9 +229,6 @@ def prepare_data(cfg: ExperimentConfig):
             test_set = subset_classes(test_set, cfg.class_subset)
         except ValidationError as exc:  # a class the data does not hold
             raise ConfigError("dataset.class_subset", str(exc)) from None
-    if cfg.standardize:
-        train_set, test_set = standardize_per_channel(train_set, test_set)
-
     foreign = None
     if cfg.perturb.kind == "inject":
         if cfg.foreign_batches:
@@ -242,6 +238,8 @@ def prepare_data(cfg: ExperimentConfig):
                 cfg.foreign_classes, cfg.foreign_per_class,
                 train_set.image_shape, cfg.foreign_seed, cfg.difficulty,
             )
+    if cfg.standardize:  # the foreign rows too, so the pool is on one scale
+        return standardize_per_channel(train_set, test_set, foreign)
     return train_set, test_set, foreign
 
 
@@ -256,7 +254,7 @@ def write_split(cfg, n, mentor_rows):
 
 
 def resolve_split(cfg, train_set):
-    """(mentor_set, student_set) replayed exactly from the recorded manifest."""
+    """(mentor_idx, student_idx) replayed exactly from the recorded manifest."""
     path = manifest_path(cfg.output_dir)
     if not os.path.exists(path):
         raise MissingArtifactError(f"split manifest not found: {path} (run `split` first)")
@@ -264,7 +262,7 @@ def resolve_split(cfg, train_set):
     if mask.size != train_set.n:
         raise MissingArtifactError(f"{path} covers {mask.size} rows, the dataset has"
                                    f" {train_set.n}; rerun `split`")
-    return apply_split_manifest(train_set, mask)
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
 def build_student_pool(cfg, student_set, foreign):

@@ -14,6 +14,8 @@ key the test skips and says why. A change that moves bytes on purpose
 rewrites the table, and its diff is the review:
 
     PYTHONPATH=src python tests/test_artifact_digests.py
+
+which also prints each entry it adds, changes or drops against the old table.
 """
 
 import ctypes
@@ -115,8 +117,22 @@ def test_artifacts_match_the_committed_digests(tmp_path, run):
     assert digests(RUNS[run](str(tmp_path))) == tables[key][run]
 
 
+def changes(old, new):
+    """["added|changed|dropped <run>/<file>"] of entry new against entry old."""
+    lines = []
+    for run in sorted(set(old) | set(new)):
+        before, after = old.get(run, {}), new.get(run, {})
+        for name in sorted(set(before) | set(after)):
+            if before.get(name) != after.get(name):
+                what = ("added" if name not in before else
+                        "dropped" if name not in after else "changed")
+                lines.append(f"{what} {run}/{name}")
+    return lines
+
+
 def rewrite():
-    """Rerun every run and replace this key's entry of the table."""
+    """Rerun every run, replace this key's entry of the table and print what
+    moved against the old entry."""
     try:
         with open(TABLE, encoding="utf-8") as f:
             tables = json.load(f)
@@ -126,6 +142,7 @@ def rewrite():
     for run, make in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
             entry[run] = digests(make(tmp))
+    print("\n".join(changes(tables.get(table_key(), {}), entry)) or "no entry moved")
     tables[table_key()] = entry
     with open(TABLE, "w", encoding="utf-8") as f:
         json.dump(tables, f, indent=1, sort_keys=True)

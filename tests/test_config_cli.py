@@ -18,6 +18,7 @@ from distillnet.config import (
     load_config,
     parse_config_text,
 )
+from distillnet.data import LabeledImageSet
 from distillnet.errors import ConfigError, ValidationError
 from distillnet.evaluation import BenchResult, format_percent
 from distillnet.report import (
@@ -715,11 +716,14 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("train-mentor", "--config", path) == 2  # no manifest yet
     assert run_cli("eval", "--config", path) == 2          # no checkpoints yet
     assert run_cli("label", "--config", path) == 2
-    # 3: runtime failures (soft labels of other images, for a pool of their size)
-    for verb in ("split", "train-mentor", "label"):
+    # 3: runtime failures (a checkpoint with one payload byte flipped)
+    for verb in ("split", "train-mentor"):
         assert run_cli(verb, "--config", path) == 0
-    assert run_cli("train-student", "--config", path,
-                   "--override", "dataset.seed=1") == 3
+    ckpt = os.path.join(out, "mentor.ckpt")
+    data = bytearray(open(ckpt, "rb").read())
+    data[-pipeline.DIGEST_SIZE - 1] ^= 1
+    open(ckpt, "wb").write(bytes(data))
+    assert run_cli("label", "--config", path) == 3
 
 
 def test_cli_trains_a_mentor_whose_softmax_follows_a_pool(tmp_path):
@@ -746,6 +750,34 @@ def test_cli_label_refuses_a_mentor_of_another_arch(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "soft_labels.slbl"))
     assert run_cli("label", "--config", path,
                    "--override", "mentor.arch=(fc(32))^1-fc-s") == 0
+
+
+STUDENTS_B = ["--override", "student.archs=fc(8)-fc-s,fc(16)-fc-s"]
+
+
+@pytest.mark.parametrize("name,flags,key,writer", [
+    ("mentor.ckpt", ["--override", "mentor.arch=fc(8)-fc-s"], "mentor.arch", "train-mentor"),
+    ("student_a.ckpt", STUDENTS_B, "student.archs", "train-student"),
+    ("baseline_a.ckpt", STUDENTS_B, "student.archs", "baseline"),
+])
+def test_cli_scoring_verbs_refuse_a_checkpoint_of_another_arch(
+        tmp_path, capsys, name, flags, key, writer):
+    # eval, confusion and bench score the models the config names: a checkpoint
+    # left by another arch is stale, exit 2 naming the verb that rewrites it;
+    # for the baseline case the students are retrained under the new archs
+    path, out = write_cfg(tmp_path)
+    assert run_cli("run-all", "--config", path) == 0
+    assert run_cli("baseline", "--config", path) == 0
+    if writer == "baseline":
+        assert run_cli("train-student", "--config", path, *STUDENTS_B) == 0
+    for verb in ("eval", "confusion", "bench"):
+        extra = ["--reps", "1", "--warmup", "0"] if verb == "bench" else []
+        capsys.readouterr()
+        assert run_cli(verb, "--config", path, *flags, *extra) == 2, verb
+        err = capsys.readouterr().err
+        assert err.startswith("missing input: ") and err.count("\n") == 1, err
+        assert f"{name} was made for {key}=" in err and f"`{writer}`" in err, err
+    assert not os.path.exists(os.path.join(out, "bench.csv"))
 
 
 def test_cli_train_student_refuses_labels_of_another_mentor_arch(tmp_path, capsys):
@@ -777,8 +809,8 @@ def test_cli_refuses_a_manifest_of_another_dataset_size(tmp_path, capsys):
 
 def test_cli_train_student_refuses_labels_of_another_pool_size(tmp_path, capsys):
     # labels made for the plain pool are stale once perturb.kind changes its
-    # size: exit 2 naming `label`; labels for a pool of the same size but
-    # other images stay a checksum failure, exit 3
+    # size: exit 2 naming `label`; so are labels for a pool of the same size
+    # but other images, whose checksum does not match
     path, out = write_cfg(tmp_path)
     for verb in ("split", "train-mentor", "label"):
         assert run_cli(verb, "--config", path) == 0
@@ -788,9 +820,45 @@ def test_cli_train_student_refuses_labels_of_another_pool_size(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("missing input: ") and err.count("\n") == 1, err
     assert "soft_labels.slbl holds 120 rows for a " in err and "`label`" in err
-    assert run_cli("train-student", "--config", path, "--override", "dataset.seed=1") == 3
-    assert "soft-label checksum does not match" in capsys.readouterr().err
+    assert run_cli("train-student", "--config", path, "--override", "dataset.seed=1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing input: ") and err.count("\n") == 1, err
+    assert "soft_labels.slbl was made for another pool's images" in err
+    assert "`label`" in err
     assert not os.path.exists(os.path.join(out, "student_a.ckpt"))
+
+
+def test_cli_stale_labels_of_another_split_of_the_same_size_name_label(tmp_path, capsys):
+    # labels made under split.seed=0, then a new split under split.seed=1:
+    # the pool holds as many rows as before, but other ones, so the labels
+    # are stale (exit 2 naming `label`), not a runtime failure
+    path, out = write_cfg(tmp_path)
+    for verb in ("split", "train-mentor", "label"):
+        assert run_cli(verb, "--config", path) == 0
+    seed = ["--override", "split.seed=1"]
+    assert run_cli("split", "--config", path, *seed) == 0
+    capsys.readouterr()
+    assert run_cli("train-student", "--config", path, *seed) == 2
+    err = capsys.readouterr().err
+    assert "soft_labels.slbl" in err and "`label`" in err, err
+    assert not os.path.exists(os.path.join(out, "student_a.ckpt"))
+
+
+@pytest.mark.parametrize("verb,made_first,name,writers", [
+    ("label", ("split",), "mentor.ckpt", "`train-mentor`"),
+    ("train-student", ("split",), "soft_labels.slbl", "`label`"),
+    ("eval", ("split", "train-mentor"), "student_a.ckpt", "`train-student`"),
+])
+def test_cli_a_missing_artifact_names_the_verb_that_writes_it(
+        tmp_path, capsys, verb, made_first, name, writers):
+    path, out = write_cfg(tmp_path)
+    for earlier in made_first:
+        assert run_cli(earlier, "--config", path) == 0
+    capsys.readouterr()
+    assert run_cli(verb, "--config", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing input: ") and err.count("\n") == 1, err
+    assert f"not found: {os.path.join(out, name)}; run " in err and writers in err, err
 
 
 def test_cli_baseline_trains_on_the_labeled_rows_of_an_injected_pool(tmp_path, capsys):
@@ -972,21 +1040,22 @@ def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
     pools = calls["build_student_pool"]
     assert len(pools) == 1  # the plan's, which label and every student share
     assert [p.label_reads for p in pools] == [0] * len(pools)
-    # split reads its manifest back; label loads the mentor, then eval loads
-    # the mentor and both students once for eval and confusion
-    assert len(calls["resolve_split"]) == 1
+    # split logs the plan's rows, so nothing replays the manifest; label loads
+    # the mentor, then eval loads the mentor and both students once for eval
+    # and confusion
+    assert len(calls["resolve_split"]) == 0
     assert len(calls["load_checkpoint"]) == 4
 
 
-def test_sweep_builds_each_runs_pool_and_replays_its_manifest_once(tmp_path, monkeypatch):
+def test_sweep_builds_each_runs_pool_twice_and_replays_no_manifest(tmp_path, monkeypatch):
     # 2 ratios x 2 seeds: each run's pool is built once by the check of every
     # run and once more just before its own stages, which share it; its split
-    # reads its manifest back once
+    # logs the plan's rows and reads no manifest back
     path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
     calls = count_calls(monkeypatch, "build_student_pool", "resolve_split")
     assert run_cli("sweep", "--config", path) == 0
     assert {name: len(out) for name, out in calls.items()} == {
-        "build_student_pool": 8, "resolve_split": 4}
+        "build_student_pool": 8, "resolve_split": 0}
 
 
 def test_sweep_holds_one_runs_pool_at_a_time(tmp_path, monkeypatch):
@@ -1011,6 +1080,41 @@ def test_sweep_holds_one_runs_pool_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "stage_train_mentor", counting_train_mentor)
     assert run_cli("sweep", "--config", path) == 0
     assert len(alive) == 4 and max(alive) <= 1, alive
+
+
+def test_a_verb_gathers_only_the_train_rows_it_trains_on_or_labels(tmp_path, monkeypatch):
+    # a split is rows until a stage reads their pixels: on the 1,250 train rows
+    # of configs/synthetic.cfg, split gathers none, train-mentor the 250 mentor
+    # rows, and label, train-student and baseline the 1,000 pool rows each;
+    # run-all gathers both once; a 2 x 2 sweep gathers each run's mentor rows
+    # once and its pool rows twice (the check of every run, then its stages)
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.cfg")
+    flags = [a for o in (f"output_dir={tmp_path / 'run'}", "mentor_train.epochs=1",
+                         "student_train.epochs=1", "sweep.ratios=0.25,0.5", "sweep.seeds=0,1")
+             for a in ("--override", o)]
+    prepare, subset = pipeline.prepare_data, LabeledImageSet.subset
+    trains, gathered = [], []
+
+    def preparing(cfg):
+        data = prepare(cfg)
+        trains.append(data[0])
+        return data
+
+    def gathering(self, indices):
+        if any(self is train for train in trains):
+            gathered.append(len(indices))
+        return subset(self, indices)
+
+    monkeypatch.setattr(pipeline, "prepare_data", preparing)
+    monkeypatch.setattr(LabeledImageSet, "subset", gathering)
+    counts = {}
+    for verb in ("split", "train-mentor", "label", "train-student", "baseline", "run-all",
+                 "sweep"):
+        trains.clear(), gathered.clear()
+        assert run_cli(verb, "--config", config, *flags) == 0, verb
+        counts[verb] = sum(gathered)
+    assert counts == {"split": 0, "train-mentor": 250, "label": 1000, "train-student": 1000,
+                      "baseline": 1000, "run-all": 1250, "sweep": 8140}
 
 
 @pytest.mark.parametrize("verbs,count", [(("run-all",), 1), (("sweep",), 4)])

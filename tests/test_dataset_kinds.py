@@ -14,7 +14,9 @@ import struct
 import numpy as np
 import pytest
 
+from distillnet import pipeline
 from distillnet.cli import main
+from distillnet.config import load_config
 
 TRAIN = """
 split.mentor_fraction=0.5
@@ -153,3 +155,37 @@ def test_a_dataset_path_that_cannot_be_read_is_a_missing_input(tmp_path, capsys,
     assert err.startswith("missing input: dataset file: ") and err.count("\n") == 1, err
     assert str(tmp_path) in err
     assert not os.path.exists(tmp_path / "run")
+
+
+SYNTHETIC_INJECT = """
+dataset.kind=synthetic
+dataset.classes=4
+dataset.per_class=20
+dataset.test_per_class=5
+dataset.shape=3,4,4
+dataset.difficulty=0.6
+dataset.standardize=true
+perturb.kind=inject
+perturb.ratio_bound=0.5
+perturb.foreign_classes=3
+perturb.foreign_per_class=10
+""" + TRAIN
+
+
+@pytest.mark.parametrize("kind", ["cifar10", "synthetic"])
+def test_standardize_puts_the_injected_foreign_rows_on_the_train_scale(tmp_path, kind):
+    # the pool mixes train and foreign rows, and the mentor labels both: with
+    # dataset.standardize, the foreign rows (CIFAR-100 batches or generated
+    # blobs) get the train set's per-channel mean and std, as the test set does
+    path = tmp_path / "run.cfg"
+    text = cifar_config(tmp_path) if kind == "cifar10" else SYNTHETIC_INJECT
+    path.write_text(text + f"output_dir={tmp_path / 'out'}\n")
+    cfg = load_config(str(path))
+    raw_train, raw_test, raw_foreign = pipeline.prepare_data(
+        load_config(str(path), ["dataset.standardize=false"]))
+    _, test, foreign = pipeline.prepare_data(cfg)
+    mean = raw_train.images.mean(axis=(0, 2, 3), keepdims=True)
+    std = raw_train.images.std(axis=(0, 2, 3), keepdims=True)
+    np.testing.assert_array_equal(test.images, (raw_test.images - mean) / std)
+    np.testing.assert_array_equal(foreign.images, (raw_foreign.images - mean) / std)
+    assert foreign.images.min() < 0 and raw_foreign.images.min() >= 0
