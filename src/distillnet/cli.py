@@ -47,7 +47,7 @@ from . import pipeline, report
 from .config import load_config
 from .errors import ConfigError, DistillError, MissingArtifactError, ShapeError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
-from .network import parse_arch
+from .network import arch_size
 from .report import ModelResult
 from .splitting import SplitConfig, split_indices
 
@@ -137,11 +137,11 @@ def _train_and_save(cfg, model_id, arch, inputs):
 def _check(run, who, n):
     """Refuse (exit 1), naming the key, what n rows of run's images cannot train
     as who's ("mentor" or "student") set: an arch their image shape and class
-    count do not fit, or a batch_size above n. Builds each arch, trains nothing."""
+    count do not fit, or a batch_size above n. Sizes each arch, makes no layer."""
     cfg, mentor = run.cfg, who == "mentor"
     for arch in [cfg.mentor_arch] if mentor else cfg.student_archs:
         try:
-            parse_arch(arch, run.train.image_shape, run.train.num_classes)
+            arch_size(arch, run.train.image_shape, run.train.num_classes)
         except ShapeError as exc:
             raise ConfigError("mentor.arch" if mentor else "student.archs",
                               f"{arch}: {exc}") from None
@@ -263,7 +263,7 @@ def stage_sweep(cfg, run):
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
     sweep.csv gets the per-ratio means over seeds. All runs share the one load,
     as prepare_data reads no key a run replaces. Each is _planned first, a ratio
-    with no mentor rows naming sweep.ratios, and holds no pool till its turn."""
+    with no mentor rows naming sweep.ratios, and holds no pool till it labels."""
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
     runs = [(ratio, [_Run(replace(
         cfg,
@@ -280,7 +280,6 @@ def stage_sweep(cfg, run):
     for ratio, ratio_runs in runs:
         mentor_accs, student_accs = [], []
         for one in ratio_runs:
-            _plan(one)
             stage_split(one.cfg, one)
             mentor_accs.append(stage_train_mentor(one.cfg, one)[-1].test_accuracy)
             stage_label(one.cfg, one)

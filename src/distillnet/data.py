@@ -16,6 +16,7 @@ from .errors import FormatError, MissingArtifactError, ValidationError
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_PIXELS = 3072  # 1024 R + 1024 G + 1024 B bytes, row-major planes
+_MAX_VALUES = 10**8  # values gen_synthetic may take: per image pixel, or per template pair and pixel
 
 
 class LabeledImageSet:
@@ -184,6 +185,10 @@ def gen_synthetic(num_classes, per_class, shape, seed, difficulty):
     shape = tuple(int(d) for d in shape)
     if len(shape) != 3 or any(d < 1 for d in shape):
         raise ValidationError(f"shape must be 3 positive dims, got {shape}")
+    drawn = max(per_class, (num_classes - 1) / 2) * num_classes * np.prod(shape, dtype=float)
+    if drawn > _MAX_VALUES:  # refused before any allocation
+        raise ValidationError(f"{num_classes} classes of {per_class} {shape} images take"
+                              f" {drawn:,.0f} values, more than {_MAX_VALUES:,}")
 
     rng = np.random.default_rng(seed)
     templates = rng.uniform(0.2, 0.8, (num_classes, *shape))

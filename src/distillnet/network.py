@@ -35,7 +35,9 @@ A spec expands to at most ``_MAX_TOKENS`` tokens, nests "(...)" at most
 ``_MAX_DEPTH`` deep and writes no integer longer than ``_MAX_DIGITS`` digits;
 past a bound it is a ``ParseError``, raised before the expansion is built. A
 stack holds at most ``_MAX_WEIGHTS`` values in its layers; a conv, fc or bn
-that would pass it is a ``ShapeError``, raised before that layer allocates.
+that would pass it is a ``ShapeError``. One walk over the shapes alone runs
+every fit check and that bound, and counts those values: ``arch_size`` returns
+the count and makes no layer, ``parse_arch`` makes none until the walk passes.
 """
 
 from __future__ import annotations
@@ -174,17 +176,24 @@ def parse_tokens(spec):
 
 def _hold(held, size, i, tok):
     """``held + size``, the values a stack holds once token ``i`` adds its
-    layer; past ``_MAX_WEIGHTS`` a ShapeError, before that layer allocates."""
+    layer; past ``_MAX_WEIGHTS`` a ShapeError, before any layer is made."""
     if held + size > _MAX_WEIGHTS:
         raise ShapeError(f"{_fmt_token(tok)} (token {i + 1}): the stack would hold"
                          f" {held + size:,} weights, more than {_MAX_WEIGHTS:,}")
     return held + size
 
 
-def _build_layers(tokens, shape, num_classes, rng):
-    """The layers for ``tokens``, He-initialized in order. ``shape`` is the
-    (channels, h, w) of each token's input until an fc, then (features,)."""
-    layers = []
+def _walk(spec, input_shape, num_classes, rng):
+    """(tokens, makers, held): ``spec``'s tokens, one zero-argument maker per
+    layer in stack order, and the values the layers will hold. Every check runs
+    here, so nothing is made before all have passed. ``shape`` is the (channels,
+    h, w) of each token's input until an fc, then (features,)."""
+    shape = tuple(int(d) for d in input_shape)
+    if len(shape) != 3 or min(shape) < 1:
+        raise ValidationError(f"input_shape must be 3 positive dims, got {input_shape}")
+    if num_classes < 1:
+        raise ValidationError(f"num_classes must be positive, got {num_classes}")
+    tokens, makers = parse_tokens(spec), []
     pools = held = 0
     due = False
     last_fc = max((i for i, t in enumerate(tokens) if t.kind == "fc"), default=None)
@@ -196,7 +205,7 @@ def _build_layers(tokens, shape, num_classes, rng):
             k = args[0] if args else 3
             cout = args[1] if len(args) == 2 else 32 * 2**pools
             held = _hold(held, cout * (shape[0] * k * k + 1), i, tok)
-            layers.append(Conv2d(shape[0], cout, k, rng))
+            makers.append(functools.partial(Conv2d, shape[0], cout, k, rng))
             # pad k//2 keeps h for an odd kernel and grows it by one for an even
             shape = (cout, shape[1] + 1 - k % 2, shape[2] + 1 - k % 2)
         elif kind == "mp":
@@ -205,35 +214,31 @@ def _build_layers(tokens, shape, num_classes, rng):
                 raise ShapeError(
                     f"mp: {win}x{win} window would pool {shape[1]}x{shape[2]} below 1x1"
                 )
-            layers.append(MaxPool2d(win))
+            makers.append(functools.partial(MaxPool2d, win))
             shape = (shape[0], shape[1] // win, shape[2] // win)
             pools += 1
         elif kind == "fc":
             units = args[0] if args else (num_classes if i == last_fc else 128)
             held = _hold(held, units * (math.prod(shape) + 1), i, tok)
-            layers.append(FullyConnected(math.prod(shape), units, rng))
+            makers.append(functools.partial(FullyConnected, math.prod(shape), units, rng))
             shape = (units,)
         elif kind == "bn":
             held = _hold(held, 4 * shape[0], i, tok)
-            layers.append(BatchNorm(shape[0]))
+            makers.append(functools.partial(BatchNorm, shape[0]))
         elif kind == "d":
-            layers.append(Dropout(float(args[0]) if args else 0.5))
+            makers.append(functools.partial(Dropout, float(args[0]) if args else 0.5))
         elif kind == "relu":
-            layers.append(ReLU())
+            makers.append(ReLU)
         if kind != "mp":  # implicit activation after conv and every fc but the last
             due = (kind == "c" or kind == "fc" and i != last_fc) and tokens[i + 1].kind != "relu"
         if due and tokens[i + 1].kind != "mp":  # a conv's waits past its max-pools
-            layers.append(ReLU())
+            makers.append(ReLU)
     if math.prod(shape) != num_classes:
         raise ShapeError(
             f"s: softmax input has {math.prod(shape)} features but num_classes is "
             f"{num_classes}; the layer before s must give num_classes values"
         )
-    layers.append(Softmax())
-    for prev, relu in zip(layers, layers[1:]):  # outputs that no caller or cache reads
-        if relu.kind == "relu":
-            relu.in_place = prev.kind in ("c", "mp", "fc", "bn")
-    return layers
+    return tokens, makers + [Softmax], held
 
 
 @functools.cache
@@ -318,7 +323,7 @@ class LayerStack:
     def __init__(self, layers, tokens, input_shape, num_classes):
         self.layers = layers
         layers[0].input_grad = False
-        self.input_shape = tuple(input_shape)
+        self.input_shape = tuple(int(d) for d in input_shape)
         self.num_classes = num_classes
         self.arch = render_tokens(tokens)
         self.mode = "train"
@@ -403,6 +408,12 @@ class LayerStack:
         return sum(p.size for p in self.parameters())
 
 
+def arch_size(spec, input_shape, num_classes):
+    """The values ``parse_arch`` would hold in its layers (the sizes of its
+    ``state_items``), with its refusals, by the same walk; makes no layer."""
+    return _walk(spec, input_shape, num_classes, None)[2]
+
+
 def parse_arch(spec, input_shape, num_classes, seed=0):
     """Parse an architecture string and instantiate it for the given shapes.
 
@@ -410,11 +421,9 @@ def parse_arch(spec, input_shape, num_classes, seed=0):
     by layer in stack order, so equal (spec, shapes, seed) always yields
     bit-identical stacks.
     """
-    shape = tuple(int(d) for d in input_shape)
-    if len(shape) != 3 or min(shape) < 1:
-        raise ValidationError(f"input_shape must be 3 positive dims, got {input_shape}")
-    if num_classes < 1:
-        raise ValidationError(f"num_classes must be positive, got {num_classes}")
-    tokens = parse_tokens(spec)
-    layers = _build_layers(tokens, shape, num_classes, np.random.default_rng(seed))
-    return LayerStack(layers, tokens, shape, num_classes)
+    tokens, makers, _ = _walk(spec, input_shape, num_classes, np.random.default_rng(seed))
+    layers = [make() for make in makers]
+    for prev, relu in zip(layers, layers[1:]):  # outputs that no caller or cache reads
+        if relu.kind == "relu":
+            relu.in_place = prev.kind in ("c", "mp", "fc", "bn")
+    return LayerStack(layers, tokens, input_shape, num_classes)

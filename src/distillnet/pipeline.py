@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import atomic_write_bytes
-from .network import parse_arch
+from .network import arch_size, parse_arch
 from .splitting import (
     inject_ood,
     load_split_manifest,
@@ -177,10 +177,14 @@ def load_checkpoint(path):
     (arch_len,) = cur.unpack("<I")
     arch = cur.text(arch_len, "arch string")
     *input_shape, num_classes = cur.unpack("<4I")
+    size, have = arch_size(arch, input_shape, num_classes), len(cur.buf) - cur.pos
+    if 4 * size != have:  # refused before a layer is made
+        raise FormatError(f"{path}: {arch} on {'x'.join(map(str, input_shape))} images and"
+                          f" {num_classes} classes holds {size:,} values ({4 * size:,} bytes),"
+                          f" the payload {have:,} bytes")
     stack = parse_arch(arch, input_shape, num_classes, seed=0)
     for _, arr in stack.state_items():
         arr[...] = np.frombuffer(cur.take(arr.size * 4), dtype="<f4").reshape(arr.shape)
-    cur.done()
     stack.set_mode("eval")
     return stack
 
@@ -212,10 +216,11 @@ def load_soft_labels(path):
 def prepare_data(cfg: ExperimentConfig):
     """(train_set, test_set, foreign_set|None) for an experiment config."""
     if cfg.dataset_kind == "synthetic":
-        train_set, test_set = gen_synthetic_split(
-            cfg.classes, cfg.per_class, cfg.test_per_class, cfg.shape,
-            cfg.dataset_seed, cfg.difficulty,
-        )
+        try:
+            train_set, test_set = gen_synthetic_split(cfg.classes, cfg.per_class,
+                cfg.test_per_class, cfg.shape, cfg.dataset_seed, cfg.difficulty)
+        except ValidationError as exc:  # past data's bound on the values drawn
+            raise ConfigError("dataset.per_class", str(exc)) from None
     elif cfg.dataset_kind == "mnist":
         train_set = load_idx(cfg.train_images, cfg.train_labels, num_classes=10)
         test_set = load_idx(cfg.test_images, cfg.test_labels, num_classes=10)
@@ -234,10 +239,11 @@ def prepare_data(cfg: ExperimentConfig):
         if cfg.foreign_batches:
             foreign = load_cifar(cfg.foreign_batches, num_classes=100)
         else:
-            foreign = gen_synthetic(
-                cfg.foreign_classes, cfg.foreign_per_class,
-                train_set.image_shape, cfg.foreign_seed, cfg.difficulty,
-            )
+            try:
+                foreign = gen_synthetic(cfg.foreign_classes, cfg.foreign_per_class,
+                                        train_set.image_shape, cfg.foreign_seed, cfg.difficulty)
+            except ValidationError as exc:
+                raise ConfigError("perturb.foreign_per_class", str(exc)) from None
     if cfg.standardize:  # the foreign rows too, so the pool is on one scale
         return standardize_per_channel(train_set, test_set, foreign)
     return train_set, test_set, foreign

@@ -1,12 +1,13 @@
-"""Byte stability across commits: every artifact of four small runs against
+"""Byte stability across commits: every artifact of five small runs against
 a committed table of sha256 digests.
 
 C10 compares two runs of one commit; this compares a run with the bytes the
 table was written from, so a change that moves one byte of one artifact fails
 here. The runs are ``run-all`` + ``baseline`` on ``configs/synthetic.cfg
---seed 7``, a 2-ratio x 2-seed ``sweep``, the tiny MNIST ``run-all`` of
-``test_dataset_kinds`` and its CIFAR-10 ``run-all`` + ``baseline`` (whose pool
-holds injected CIFAR-100 rows).
+--seed 7``, a 2-ratio x 2-seed ``sweep``, ``run-all`` + ``baseline`` on the
+sweep's config with ``perturb.kind=reduce`` (an unbalanced pool), the tiny
+MNIST ``run-all`` of ``test_dataset_kinds`` and its CIFAR-10 ``run-all`` +
+``baseline`` (whose pool holds injected CIFAR-100 rows).
 
 Float results depend on numpy and on the OpenBLAS kernels it picked, so the
 table is keyed by the numpy version and the OpenBLAS core name; on any other
@@ -88,6 +89,9 @@ RUNS = {
     "synthetic": lambda tmp: _run(tmp, ("run-all", "baseline"), config=SYNTHETIC,
                                   flags=("--seed", "7")),
     "sweep": lambda tmp: _run(tmp, ("sweep",), SWEEP),
+    "reduce": lambda tmp: _run(tmp, ("run-all", "baseline"), SWEEP,
+                               flags=("--override", "perturb.kind=reduce",
+                                      "--override", "perturb.ratio_bound=0.5")),
     "mnist": lambda tmp: _run(tmp, ("run-all",), mnist_config(
         Path(tmp), [i % 10 for i in range(100)], [i % 10 for i in range(20)])),
     "cifar10": lambda tmp: _run(tmp, ("run-all", "baseline"), cifar_config(Path(tmp))),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distillnet import cli, pipeline
+from distillnet import cli, layers, network, pipeline
 from distillnet.cli import STAGES, main, stage_run_all
 from distillnet.config import (
     KNOWN_KEYS,
@@ -316,6 +316,24 @@ def test_class_subset_the_data_lacks_is_a_config_error(tmp_path, capsys, classes
     assert run_cli("split", "--config", path, "--override", f"dataset.class_subset={classes}") == 1
     err = capsys.readouterr().err
     assert "config error: dataset.class_subset: class " in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["dataset.per_class=1000000000"], "dataset.per_class"),
+    (["dataset.shape=100000,100000,100000"], "dataset.per_class"),
+    (["perturb.kind=inject", "perturb.foreign_per_class=1000000000"],
+     "perturb.foreign_per_class"),
+])
+def test_a_synthetic_set_past_the_data_bound_is_a_config_error(tmp_path, capsys, overrides, key):
+    # terabytes of generated images: refused before they are drawn, as a config
+    # error naming the key that sets their count, never a traceback
+    path, out = write_cfg(tmp_path)
+    flags = [a for o in overrides for a in ("--override", o)]
+    assert run_cli("split", "--config", path, *flags) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err and "values, more than" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
@@ -1047,10 +1065,35 @@ def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
     assert len(calls["load_checkpoint"]) == 4
 
 
+def test_a_check_sizes_each_arch_and_makes_no_layer(tmp_path, monkeypatch):
+    # _check learns whether an arch fits from the walk over its shapes alone:
+    # through run-all's plan, its training stages and a lone baseline, no
+    # check makes a conv or an fc; the training after each check makes them
+    path, _ = write_cfg(tmp_path)
+    made, checks = [], []
+    for cls in (layers.Conv2d, layers.FullyConnected):
+        monkeypatch.setattr(network, cls.__name__,
+                            lambda *args, cls=cls: made.append(cls.kind) or cls(*args))
+    check = cli._check
+
+    def counting_check(run, who, n):
+        before = len(made)
+        check(run, who, n)
+        checks.append((who, len(made) - before))
+
+    monkeypatch.setattr(cli, "_check", counting_check)
+    arch = ("--override", "mentor.arch=c(3,4)-mp-fc(8)-fc-s")
+    assert run_cli("run-all", "--config", path, *arch) == 0
+    assert run_cli("baseline", "--config", path, *arch) == 0
+    assert checks == [("mentor", 0), ("student", 0), ("mentor", 0), ("student", 0),
+                      ("student", 0)]
+    assert {"c", "fc"} <= set(made)
+
+
 def test_sweep_builds_each_runs_pool_twice_and_replays_no_manifest(tmp_path, monkeypatch):
     # 2 ratios x 2 seeds: each run's pool is built once by the check of every
-    # run and once more just before its own stages, which share it; its split
-    # logs the plan's rows and reads no manifest back
+    # run and once more by its label stage, which train-student shares; its
+    # split logs the plan's rows and reads no manifest back
     path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
     calls = count_calls(monkeypatch, "build_student_pool", "resolve_split")
     assert run_cli("sweep", "--config", path) == 0
@@ -1060,8 +1103,8 @@ def test_sweep_builds_each_runs_pool_twice_and_replays_no_manifest(tmp_path, mon
 
 def test_sweep_holds_one_runs_pool_at_a_time(tmp_path, monkeypatch):
     # every run is checked before the first trains, but keeps none of the
-    # sets its check built: when a run's mentor starts, its own pool is the
-    # only one alive
+    # sets its check built, and a run's pool is built by its label stage: when
+    # a run's mentor starts, no pool is alive
     path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
     pools, alive = [], []
     build, train_mentor = pipeline.build_student_pool, cli.stage_train_mentor
@@ -1079,7 +1122,7 @@ def test_sweep_holds_one_runs_pool_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "build_student_pool", recording_build)
     monkeypatch.setattr(cli, "stage_train_mentor", counting_train_mentor)
     assert run_cli("sweep", "--config", path) == 0
-    assert len(alive) == 4 and max(alive) <= 1, alive
+    assert alive == [0] * 4, alive
 
 
 def test_a_verb_gathers_only_the_train_rows_it_trains_on_or_labels(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from distillnet import data
 from distillnet.data import (
     LabeledImageSet,
     gen_synthetic,
@@ -192,6 +194,35 @@ def test_gen_synthetic_difficulty_scales_noise():
     spread_easy = easy.images[easy.labels == 0].std(axis=0).mean()
     spread_hard = hard.images[hard.labels == 0].std(axis=0).mean()
     assert spread_hard > 3 * spread_easy
+
+
+@pytest.mark.parametrize("classes, per_class, shape", [
+    (10, 10**9, (1, 8, 8)),  # 4.7 TiB of images
+    (10, 1, (100000, 100000, 100000)),  # 71 PiB of templates
+])
+def test_gen_synthetic_past_its_bound_is_refused_before_it_allocates(classes, per_class, shape):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"more than {data._MAX_VALUES:,}$"):
+            gen_synthetic(classes, per_class, shape, 0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"refusing it peaked at {peak} bytes"
+
+
+def test_the_synthetic_bound_counts_images_and_template_pairs(monkeypatch):
+    # 45 classes of 1x1x1 images draw 45 values and compare 990 template
+    # pairs; 46 classes compare 1,035, past a bound of 1,000; 1,000 images pass
+    # and 1,001 do not. An MNIST-sized set (70,000 images of 1x28x28) fits the
+    # real bound.
+    assert 70_000 * 28 * 28 <= data._MAX_VALUES
+    monkeypatch.setattr(data, "_MAX_VALUES", 1000)
+    assert gen_synthetic(45, 1, (1, 1, 1), 0, 0.5).n == 45
+    assert gen_synthetic(2, 500, (1, 1, 1), 0, 0.5).n == 1000
+    for classes, per_class in [(46, 1), (7, 143)]:
+        with pytest.raises(ValidationError, match="more than 1,000$"):
+            gen_synthetic(classes, per_class, (1, 1, 1), 0, 0.5)
 
 
 def test_gen_synthetic_validation():

@@ -1,14 +1,15 @@
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from distillnet.errors import ParseError, ShapeError, StateError, ValidationError
-from distillnet import network
-from distillnet.network import Token, parse_arch, parse_tokens, render_tokens
+from distillnet.errors import DistillError, ParseError, ShapeError, StateError, ValidationError
+from distillnet import layers, network
+from distillnet.network import Token, arch_size, parse_arch, parse_tokens, render_tokens
 
 
 def kinds(spec):
@@ -177,6 +178,66 @@ def test_shape_walk_agrees_with_the_layers(body, input_shape, classes):
         return
     stack.set_mode("eval")
     assert stack.forward(np.zeros((2, *input_shape))).shape == (2, classes)
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and message of the DistillError it raises."""
+    try:
+        return fn()
+    except DistillError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(_spec_body(st.integers(1, 5)).map(lambda body: f"{body}-s"),
+              _spec_body(st.integers(1, 5)).map(lambda body: f"{body}-fc-s"),
+              st.text(_ARCH_CHARS, max_size=16)),
+    st.tuples(st.sampled_from([1, 2, 3, 0]), st.integers(1, 9), st.integers(1, 9)),
+    st.sampled_from([2, 3, 5, 10, 0]),
+    st.sampled_from([network._MAX_WEIGHTS, network._MAX_WEIGHTS, 2000, 200]),
+)
+def test_arch_size_is_what_parse_arch_holds_or_its_refusal(spec, input_shape, classes, bound):
+    # the walk alone gives the stack's state_items size, and every refusal of
+    # the builder - parse, input, fit and weight bound - with the same message
+    assume(spec.count("mp") <= 3 and len(spec) <= 60)
+    with mock.patch.object(network, "_MAX_WEIGHTS", bound):
+        held = _outcome(lambda: sum(
+            arr.size for _, arr in parse_arch(spec, input_shape, classes).state_items()))
+        assert _outcome(lambda: arch_size(spec, input_shape, classes)) == held
+
+
+def _count_layers(monkeypatch):
+    """The list every layer made from now on appends its kind to."""
+    made, init = [], layers.Layer.__init__
+
+    def counting(self):
+        made.append(self.kind)
+        init(self)
+
+    monkeypatch.setattr(layers.Layer, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("spec", ["c-mp-c-mp-fc(5)-s", "c-mp-fc(7)-bn-d-s", "c-fc-fc-mp-s"])
+def test_an_arch_refused_at_its_last_token_makes_no_layer(monkeypatch, spec):
+    # a final fc of the wrong width and a pool after an fc are refused at
+    # the last tokens, after every layer's token has been walked, yet no
+    # layer is made before the whole walk has passed
+    made = _count_layers(monkeypatch)
+    with pytest.raises(ShapeError):
+        parse_arch(spec, (1, 8, 8), 10)
+    assert made == []
+    parse_arch("c-mp-fc-s", (1, 8, 8), 10)
+    assert made == ["c", "mp", "relu", "fc", "s"]
+
+
+def test_arch_size_makes_no_layer(monkeypatch):
+    made = _count_layers(monkeypatch)
+    size = arch_size("c^2-mp-c^2-mp-fc^2-s", (3, 32, 32), 10)
+    assert made == []
+    stack = parse_arch("c^2-mp-c^2-mp-fc^2-s", (3, 32, 32), 10)
+    assert size == sum(arr.size for _, arr in stack.state_items())
 
 
 def test_render_collapses_runs():

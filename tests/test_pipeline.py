@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import os
+import re
 import struct
 import tracemalloc
 
@@ -14,7 +15,7 @@ from distillnet.errors import (
     ShapeError,
     ValidationError,
 )
-from distillnet import network
+from distillnet import network, pipeline
 from distillnet.network import parse_arch
 from distillnet.pipeline import (
     SoftLabelSet,
@@ -141,6 +142,32 @@ def test_a_checkpoint_whose_header_is_too_large_to_build_is_refused_before_it_al
     assert peak < 1 << 20, f"refusing the header peaked at {peak} bytes"
 
 
+def test_a_checkpoint_whose_payload_is_not_its_archs_size_is_refused_before_a_layer_is_made(
+        tmp_path, monkeypatch):
+    # 92 bytes with a valid digest: "fc-s" on 1x3000x3300 for 10 classes holds
+    # 99,000,010 values (a 790 MB build), the payload 11; sized, never built
+    arch = b"fc-s"
+    header = struct.pack("<I", len(arch)) + arch + struct.pack("<4I", 1, 3000, 3300, 10)
+    path = tmp_path / "small.ckpt"
+    path.write_bytes(digested(b"DMCK" + struct.pack("<I", 2) + header + bytes(44)))
+    assert path.stat().st_size == 92
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("parse_arch called")
+
+    monkeypatch.setattr(pipeline, "parse_arch", no_build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=re.escape(
+                "fc-s on 1x3000x3300 images and 10 classes holds 99,000,010 values"
+                " (396,000,040 bytes), the payload 44 bytes")):
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"refusing the payload peaked at {peak} bytes"
+
+
 def test_checkpoint_corruption_detected(tmp_path):
     stack, _ = trained_stack()
     path = str(tmp_path / "m.ckpt")
@@ -254,24 +281,26 @@ def test_soft_labels_corruption_detected(tmp_path):
 @pytest.mark.parametrize("kind", ["checkpoint", "soft-labels"])
 def test_malformed_contents_under_a_valid_digest_are_refused(tmp_path, kind):
     # the digest matches, so only the reader's own bounds catch these: a body
-    # 4 payload bytes long, one 4 bytes short, and a non-ASCII id
+    # 4 payload bytes long, one 4 bytes short, and a non-ASCII id; a
+    # checkpoint's payload is sized from its header's arch before it is read
     path = str(tmp_path / "x.bin")
     if kind == "checkpoint":
-        stack = parse_arch("fc-s", (1, 6, 6), 3, seed=0)
-        save_checkpoint(stack, path)
+        save_checkpoint(parse_arch("fc-s", (1, 6, 6), 3, seed=0), path)
         load, id_at, what = load_checkpoint, 12, "arch string"
-        last = stack.state_items()[-1][1].size * 4  # the bias, read last
+        sized = "fc-s on 1x6x6 images and 3 classes holds 111 values (444 bytes)"
+        long, short = (re.escape(f"{sized}, the payload {n} bytes") for n in (448, 440))
     else:
         soft = SoftLabelSet(np.full((3, 2), 0.5), source_checksum=1, mentor_id="fc-s")
         save_soft_labels(soft, path)
         load, id_at, what = load_soft_labels, 28, "mentor id"
-        last = 3 * 2 * 4  # the rows, read in one piece
+        long = "4 trailing bytes"
+        short = r"truncated \(4 bytes short of a 24-byte read\)"  # the rows, read in one piece
     body = open(path, "rb").read()[:-16]
     non_ascii = body[:id_at] + b"\xff" + body[id_at + 1 :]
     bad = str(tmp_path / "bad.bin")
     for data, message in [
-        (body + b"\x00" * 4, "4 trailing bytes"),
-        (body[:-4], rf"truncated \(4 bytes short of a {last}-byte read\)"),
+        (body + b"\x00" * 4, long),
+        (body[:-4], short),
         (non_ascii, f"{what} is not ASCII"),
     ]:
         open(bad, "wb").write(digested(data))
