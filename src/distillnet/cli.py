@@ -3,8 +3,8 @@
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
 edits, then ``--seed S`` as one ``<key>=S`` edit per ``*.seed`` key), loads
 the dataset once and hands it to its ``stage_<verb>`` as a ``_Run``, which
-makes the split (train row indices, gathered only by a stage that reads their
-pixels), the pool and the models once for its stages (``bench`` also gets
+makes the split's and the pool's train rows (gathered only by a stage that reads
+their pixels), the pool and the models once for its stages (``bench`` also gets
 --reps and --warmup). A verb trains its models in turn in this process and
 talks to the other verbs only through files in output_dir:
 
@@ -12,7 +12,7 @@ talks to the other verbs only through files in output_dir:
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
   label          manifest + mentor.ckpt -> soft_labels.slbl
   train-student  manifest + soft_labels.slbl -> student_<x>.ckpt + epoch CSVs
-  baseline       manifest -> baseline_<x>.ckpt + epoch CSVs (labeled pool rows)
+  baseline       manifest -> baseline_<x>.ckpt + epoch CSVs (the pool's train rows)
   eval           checkpoints -> summary.csv
   confusion      checkpoints -> confusion_<model>.csv
   bench          checkpoints -> bench.csv
@@ -24,12 +24,12 @@ Exit codes: 0 success; 1 configuration problem (message names the offending
 key, or the flag: --reps must be >= 1, --warmup >= 0, or --config for a file
 that is not UTF-8), refused before any model trains: an arch its set does not
 fit, a batch_size larger than its set, a split with no mentor rows, too few
-foreign rows for perturb.kind=inject (run-all and sweep check every run first),
-or an output_dir that cannot be made; 2 a required input artifact, dataset file
-or the --config file is missing, unreadable or stale (of another arch, row count
-or pool), naming the verb that writes it; 3 any other runtime failure. Progress
-and errors go to stderr, stdout stays clean, and every output is written
-atomically (no partial files).
+foreign rows of the pool's shape for perturb.kind=inject (run-all and sweep check
+every run first), or an output_dir that cannot be made; 2 a required input
+artifact, dataset file or the --config file is missing, unreadable or stale (of
+another arch, row count or pool), naming the verb that writes it; 3 any other
+runtime failure. Progress and errors go to stderr, stdout stays clean, and every
+output is written atomically (no partial files).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import ConfigError, DistillError, MissingArtifactError, ShapeError
 from .evaluation import bench_inference, confusion_matrix, evaluate, relative_accuracy
 from .network import arch_size
 from .report import ModelResult
-from .splitting import SplitConfig, split_indices
+from .splitting import SplitConfig, perturb_rows, split_indices
 
 
 def _log(msg):
@@ -61,7 +61,7 @@ def _log(msg):
 
 
 class _Run:
-    """A verb's inputs under one cfg: its prepared sets, and the split (rows of train),
+    """A verb's inputs under one cfg: its prepared sets, and the split and pool rows,
     pool and models its stages derive from them, each made when first asked for, once."""
 
     def __init__(self, cfg, train, test, foreign, key="split.mentor_fraction"):
@@ -84,26 +84,40 @@ class _Run:
         return pipeline.resolve_split(self.cfg, self.train)
 
     @functools.cached_property
+    def pool_rows(self):
+        """(kept, picked): the train rows of the pool, cfg's perturbation applied to
+        the split's student rows, and the foreign rows appended to them."""
+        student = self.split[1]
+        kept, picked = perturb_rows(self.train.labels[student], self.cfg.perturb,
+                                    0 if self.foreign is None else self.foreign.n)
+        return student[kept], picked
+
+    @functools.cached_property
     def pool(self):
-        """The student rows of train with cfg's perturbation applied."""
-        return pipeline.build_student_pool(self.cfg, self.train.subset(self.split[1]),
-                                           self.foreign)
+        """The pool's pixels: its rows of train, then its foreign rows."""
+        return pipeline.build_student_pool(self.train, self.pool_rows, self.foreign)
+
+    def _load(self, model_id, key, arch, verb):
+        """model_id's checkpoint, refused unless made by arch, key's value."""
+        path = pipeline.ckpt_path(self.cfg.output_dir, model_id)
+        stack = pipeline.load_checkpoint(path)
+        _require_arch(path, stack.arch, key, arch, verb)
+        return stack
+
+    @functools.cached_property
+    def mentor(self):
+        """The mentor, which label and the models share."""
+        return self._load("mentor", "mentor.arch", self.cfg.mentor_arch, "train-mentor")
 
     @functools.cached_property
     def models(self):
         """[(model_id, stack)], each of the arch cfg gives it - mentor and
         students must exist, baselines may."""
-        cfg, models = self.cfg, []
-        wanted = [("mentor", "mentor.arch", cfg.mentor_arch, "train-mentor")] + [
-            (m, "student.archs", arch, verb)
+        return [("mentor", self.mentor)] + [
+            (m, self._load(m, "student.archs", arch, verb))
             for kind, verb in (("student", "train-student"), ("baseline", "baseline"))
-            for m, arch in zip(_arch_ids(kind, cfg), cfg.student_archs)
-            if kind == "student" or os.path.exists(pipeline.ckpt_path(cfg.output_dir, m))]
-        for model_id, key, arch, verb in wanted:
-            path = pipeline.ckpt_path(cfg.output_dir, model_id)
-            models.append((model_id, pipeline.load_checkpoint(path)))
-            _require_arch(path, models[-1][1].arch, key, arch, verb)
-        return models
+            for m, arch in zip(_arch_ids(kind, self.cfg), self.cfg.student_archs)
+            if kind == "student" or os.path.exists(pipeline.ckpt_path(self.cfg.output_dir, m))]
 
 
 def stage_split(cfg, run):
@@ -166,10 +180,7 @@ def _require_arch(path, made, key, arch, verb):
 
 
 def stage_label(cfg, run):
-    path = pipeline.ckpt_path(cfg.output_dir, "mentor")
-    mentor = pipeline.load_checkpoint(path)
-    _require_arch(path, mentor.arch, "mentor.arch", cfg.mentor_arch, "train-mentor")
-    soft = pipeline.generate_soft_labels(mentor, run.pool.images)
+    soft = pipeline.generate_soft_labels(run.mentor, run.pool.images)
     pipeline.save_soft_labels(soft, pipeline.soft_labels_path(cfg.output_dir))
     _log(f"label: {soft.rows.shape[0]} soft rows from {soft.mentor_id}"
          f" -> {pipeline.soft_labels_path(cfg.output_dir)}")
@@ -190,7 +201,7 @@ def _train_archs(kind, cfg, inputs):
 
 def stage_train_student(cfg, run):
     """Every student learns the mentor's soft labels for the one pool."""
-    _check(run, "student", run.pool.n)
+    _check(run, "student", sum(map(len, run.pool_rows)))
     path = pipeline.soft_labels_path(cfg.output_dir)
     soft = pipeline.load_soft_labels(path)
     _require_arch(path, soft.mentor_id, "mentor.arch", cfg.mentor_arch, "label")
@@ -204,12 +215,11 @@ def stage_train_student(cfg, run):
 
 
 def stage_baseline(cfg, run):
-    """Every baseline learns the hard labels of the pool's labeled rows (not
+    """Every baseline learns the hard labels of the pool's rows of train (not
     the injected foreign ones), the students' reference."""
-    labeled = np.flatnonzero(run.pool.labels >= 0)
-    pool = run.pool if labeled.size == run.pool.n else run.pool.subset(labeled)
-    _check(run, "student", pool.n)
-    inputs = (pipeline.train_baseline, cfg.student_train, (pool,), run.test)
+    kept = run.pool_rows[0]
+    _check(run, "student", kept.size)
+    inputs = (pipeline.train_baseline, cfg.student_train, (run.train.subset(kept),), run.test)
     return _train_archs("baseline", cfg, inputs)
 
 
@@ -250,11 +260,11 @@ def stage_bench(cfg, run, reps, warmup):
 
 
 def _plan(run):
-    """Give run its rows as its split, build its pool and _check both, before
-    the run writes anything; returns run."""
+    """Give run its rows as its split, draw its pool's rows and _check both,
+    before the run writes anything or gathers a pixel; returns run."""
     run.split = run.rows
     _check(run, "mentor", run.split[0].size)
-    _check(run, "student", run.pool.n)
+    _check(run, "student", sum(map(len, run.pool_rows)))
     return run
 
 
@@ -275,7 +285,7 @@ def stage_sweep(cfg, run):
     ), run.train, run.test, run.foreign, "sweep.ratios")
         for seed in seeds]) for ratio in cfg.sweep_ratios]
     for one in [one for _, ratio_runs in runs for one in ratio_runs]:
-        del _plan(one).pool
+        _plan(one)
     rows = []
     for ratio, ratio_runs in runs:
         mentor_accs, student_accs = [], []
@@ -284,7 +294,7 @@ def stage_sweep(cfg, run):
             mentor_accs.append(stage_train_mentor(one.cfg, one)[-1].test_accuracy)
             stage_label(one.cfg, one)
             student_accs.append(stage_train_student(one.cfg, one)[0][-1].test_accuracy)
-            del one.pool
+            del one.pool, one.mentor
             _log(f"sweep: ratio={ratio:g} seed={one.cfg.split.seed}"
                  f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}")
         rows.append((ratio, float(np.mean(mentor_accs)), float(np.mean(student_accs))))

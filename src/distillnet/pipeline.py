@@ -44,17 +44,13 @@ from .errors import (
     ConfigError,
     FormatError,
     MissingArtifactError,
+    ParseError,
     ShapeError,
     ValidationError,
 )
 from .fileio import atomic_write_bytes
 from .network import arch_size, parse_arch
-from .splitting import (
-    inject_ood,
-    load_split_manifest,
-    reduce_unbalanced,
-    save_split_manifest,
-)
+from .splitting import build_student_pool, load_split_manifest, save_split_manifest
 from .training import invalid_distribution_row, train
 
 CHECKPOINT_MAGIC = b"DMCK"
@@ -177,7 +173,10 @@ def load_checkpoint(path):
     (arch_len,) = cur.unpack("<I")
     arch = cur.text(arch_len, "arch string")
     *input_shape, num_classes = cur.unpack("<4I")
-    size, have = arch_size(arch, input_shape, num_classes), len(cur.buf) - cur.pos
+    try:
+        size, have = arch_size(arch, input_shape, num_classes), len(cur.buf) - cur.pos
+    except (ParseError, ShapeError) as exc:
+        raise FormatError(f"{path}: header arch {arch}: {exc}") from None
     if 4 * size != have:  # refused before a layer is made
         raise FormatError(f"{path}: {arch} on {'x'.join(map(str, input_shape))} images and"
                           f" {num_classes} classes holds {size:,} values ({4 * size:,} bytes),"
@@ -220,7 +219,8 @@ def prepare_data(cfg: ExperimentConfig):
             train_set, test_set = gen_synthetic_split(cfg.classes, cfg.per_class,
                 cfg.test_per_class, cfg.shape, cfg.dataset_seed, cfg.difficulty)
         except ValidationError as exc:  # past data's bound on the values drawn
-            raise ConfigError("dataset.per_class", str(exc)) from None
+            raise ConfigError("dataset.per_class", f"{cfg.per_class} (and dataset.test_per_class"
+                              f" {cfg.test_per_class}): {exc}") from None
     elif cfg.dataset_kind == "mnist":
         train_set = load_idx(cfg.train_images, cfg.train_labels, num_classes=10)
         test_set = load_idx(cfg.test_images, cfg.test_labels, num_classes=10)
@@ -238,6 +238,9 @@ def prepare_data(cfg: ExperimentConfig):
     if cfg.perturb.kind == "inject":
         if cfg.foreign_batches:
             foreign = load_cifar(cfg.foreign_batches, num_classes=100)
+            if foreign.image_shape != train_set.image_shape:  # refused before a stage runs
+                raise ConfigError("perturb.foreign_batches", f"{foreign.image_shape} images"
+                                  f" cannot join a pool of {train_set.image_shape} images")
         else:
             try:
                 foreign = gen_synthetic(cfg.foreign_classes, cfg.foreign_per_class,
@@ -269,17 +272,6 @@ def resolve_split(cfg, train_set):
         raise MissingArtifactError(f"{path} covers {mask.size} rows, the dataset has"
                                    f" {train_set.n}; rerun `split`")
     return np.flatnonzero(mask), np.flatnonzero(~mask)
-
-
-def build_student_pool(cfg, student_set, foreign):
-    """Apply the configured perturbation (if any) to the raw student split."""
-    if cfg.perturb.kind == "none":
-        return student_set
-    if cfg.perturb.kind == "reduce":
-        return reduce_unbalanced(student_set, cfg.perturb)
-    if foreign is None:
-        raise ValidationError("inject perturbation configured but no foreign set available")
-    return inject_ood(student_set, foreign, cfg.perturb)
 
 
 def train_student(train_cfg, images, soft, arch, test_set, progress=None):

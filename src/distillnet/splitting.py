@@ -104,51 +104,52 @@ def apply_split_manifest(dataset, mentor_mask):
     )
 
 
-def reduce_unbalanced(dataset, cfg):
-    """Remove round(f_c * n_c) rows of each class, f_c ~ U[0, ratio_bound].
+def perturb_rows(labels, cfg, n_foreign=0):
+    """(kept, picked): the ascending positions of labels that stay in the pool under
+    cfg, and the rows of an n_foreign-row set appended to them, read from no pixel.
+    Each class draws f_c ~ U[0, ratio_bound], then reduce drops round(f_c * n_c) of its
+    rows; inject draws that many foreign rows in all, after every f_c, without replacement."""
+    kept, picked = np.ones(labels.size, dtype=bool), np.empty(0, dtype=np.int64)
+    if cfg.kind == "none":
+        return np.flatnonzero(kept), picked
+    rng, total = np.random.default_rng(cfg.seed), 0
+    for _, idx in _class_indices(labels):
+        drop = int(np.round(rng.uniform(0.0, cfg.ratio_bound) * idx.size))
+        if cfg.kind == "reduce":
+            kept[rng.permutation(idx)[:drop]] = False
+        total += drop
+    if cfg.kind == "inject":
+        if total > n_foreign:
+            raise ConfigError("perturb.ratio_bound",
+                              f"needs {total} foreign rows but the foreign set has {n_foreign}")
+        picked = rng.permutation(n_foreign)[:total]
+    return np.flatnonzero(kept), picked
 
-    Surviving rows keep their original relative order. The test set is never
-    touched by this; it operates on the (training-side) pool it is given.
-    """
+
+def build_student_pool(dataset, rows, foreign=None):
+    """The pool of rows = (kept, picked): dataset's kept rows, then foreign's picked
+    rows under the sentinel label -1, which no class count, hard label or accuracy sees."""
+    kept, picked = rows
+    pool = dataset.subset(kept)
+    if foreign is None:
+        return pool
+    return LabeledImageSet(np.concatenate([pool.images, foreign.images[picked]]),
+                           np.concatenate([pool.labels, np.full(picked.size, -1)]),
+                           dataset.num_classes)
+
+
+def reduce_unbalanced(dataset, cfg):
+    """dataset less the rows perturb_rows drops from each class, in their order."""
     if cfg.kind != "reduce":
         raise ValidationError(f"reduce_unbalanced got a {cfg.kind!r} config")
-    rng = np.random.default_rng(cfg.seed)
-    removed = []
-    for _, idx in _class_indices(dataset.labels):
-        f = rng.uniform(0.0, cfg.ratio_bound)
-        drop = int(np.round(f * idx.size))
-        removed.append(rng.permutation(idx)[:drop])
-    mask = np.ones(dataset.n, dtype=bool)
-    if removed:
-        mask[np.concatenate(removed).astype(np.int64)] = False
-    return dataset.subset(np.flatnonzero(mask))
+    return build_student_pool(dataset, perturb_rows(dataset.labels, cfg))
 
 
 def inject_ood(dataset, foreign, cfg):
-    """Append round(f_c * n_c) foreign rows per class, f_c ~ U[0, ratio_bound].
-
-    Foreign rows are drawn uniformly without replacement (globally) and
-    appended with the sentinel label -1, so class_counts of real classes are
-    unchanged and the rows can never enter hard-label training or accuracy.
-    """
+    """dataset, then the foreign rows perturb_rows picks, labeled -1."""
     if cfg.kind != "inject":
         raise ValidationError(f"inject_ood got a {cfg.kind!r} config")
     if foreign.image_shape != dataset.image_shape:
-        raise ShapeError(
-            f"foreign image shape {foreign.image_shape} does not match "
-            f"dataset shape {dataset.image_shape}"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    total = 0
-    for _, idx in _class_indices(dataset.labels):
-        f = rng.uniform(0.0, cfg.ratio_bound)
-        total += int(np.round(f * idx.size))
-    if total > foreign.n:
-        raise ConfigError("perturb.ratio_bound",
-                          f"needs {total} foreign rows but the foreign set has {foreign.n}")
-    picked = rng.permutation(foreign.n)[:total]
-    images = np.concatenate([dataset.images, foreign.images[picked]])
-    labels = np.concatenate(
-        [dataset.labels, np.full(total, -1, dtype=np.int64)]
-    )
-    return LabeledImageSet(images, labels, dataset.num_classes)
+        raise ShapeError(f"foreign image shape {foreign.image_shape} does not match"
+                         f" dataset shape {dataset.image_shape}")
+    return build_student_pool(dataset, perturb_rows(dataset.labels, cfg, foreign.n), foreign)

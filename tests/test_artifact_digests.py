@@ -1,11 +1,13 @@
-"""Byte stability across commits: every artifact of five small runs against
+"""Byte stability across commits: every artifact of six small runs against
 a committed table of sha256 digests.
 
 C10 compares two runs of one commit; this compares a run with the bytes the
 table was written from, so a change that moves one byte of one artifact fails
 here. The runs are ``run-all`` + ``baseline`` on ``configs/synthetic.cfg
---seed 7``, a 2-ratio x 2-seed ``sweep``, ``run-all`` + ``baseline`` on the
-sweep's config with ``perturb.kind=reduce`` (an unbalanced pool), the tiny
+--seed 7``, a 2-ratio x 2-seed ``sweep``, the same ``sweep`` with
+``perturb.kind=inject`` (each run's pool holds foreign rows), ``run-all`` +
+``baseline`` on the sweep's config with ``perturb.kind=reduce`` (an unbalanced
+pool), the tiny
 MNIST ``run-all`` of ``test_dataset_kinds`` and its CIFAR-10 ``run-all`` +
 ``baseline`` (whose pool holds injected CIFAR-100 rows).
 
@@ -89,6 +91,9 @@ RUNS = {
     "synthetic": lambda tmp: _run(tmp, ("run-all", "baseline"), config=SYNTHETIC,
                                   flags=("--seed", "7")),
     "sweep": lambda tmp: _run(tmp, ("sweep",), SWEEP),
+    "inject_sweep": lambda tmp: _run(tmp, ("sweep",), SWEEP,
+                                     flags=("--override", "perturb.kind=inject",
+                                            "--override", "perturb.ratio_bound=0.5")),
     "reduce": lambda tmp: _run(tmp, ("run-all", "baseline"), SWEEP,
                                flags=("--override", "perturb.kind=reduce",
                                       "--override", "perturb.ratio_bound=0.5")),

@@ -33,7 +33,7 @@ from distillnet.report import (
     write_epochs,
     write_summary,
 )
-from distillnet.splitting import PerturbConfig, SplitConfig
+from distillnet.splitting import PerturbConfig, SplitConfig, load_split_manifest
 from distillnet.training import EpochLog, TrainConfig
 
 BASE = """
@@ -318,6 +318,17 @@ def test_class_subset_the_data_lacks_is_a_config_error(tmp_path, capsys, classes
     assert "config error: dataset.class_subset: class " in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_the_data_bound_refusal_quotes_the_keys_own_values(tmp_path, capsys):
+    # the generator draws per_class + test_per_class images a class, but the
+    # message quotes each key's own value beside it
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.cfg")
+    assert run_cli("split", "--config", config, "--override", f"output_dir={tmp_path / 'run'}",
+                   "--override", "dataset.per_class=1000000000") == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: dataset.per_class: 1000000000 (and dataset.test_per_class 40): 10 classes")
+    assert not os.path.exists(tmp_path / "run")
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -1059,10 +1070,9 @@ def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
     assert len(pools) == 1  # the plan's, which label and every student share
     assert [p.label_reads for p in pools] == [0] * len(pools)
     # split logs the plan's rows, so nothing replays the manifest; label loads
-    # the mentor, then eval loads the mentor and both students once for eval
-    # and confusion
+    # the mentor, which eval and confusion share with both students, loaded once
     assert len(calls["resolve_split"]) == 0
-    assert len(calls["load_checkpoint"]) == 4
+    assert len(calls["load_checkpoint"]) == 3
 
 
 def test_a_check_sizes_each_arch_and_makes_no_layer(tmp_path, monkeypatch):
@@ -1090,21 +1100,21 @@ def test_a_check_sizes_each_arch_and_makes_no_layer(tmp_path, monkeypatch):
     assert {"c", "fc"} <= set(made)
 
 
-def test_sweep_builds_each_runs_pool_twice_and_replays_no_manifest(tmp_path, monkeypatch):
-    # 2 ratios x 2 seeds: each run's pool is built once by the check of every
-    # run and once more by its label stage, which train-student shares; its
-    # split logs the plan's rows and reads no manifest back
+def test_sweep_builds_each_runs_pool_once_and_replays_no_manifest(tmp_path, monkeypatch):
+    # 2 ratios x 2 seeds: the check of every run counts its pool's rows, and
+    # its label stage builds the pool, which train-student shares; its split
+    # logs the plan's rows and reads no manifest back
     path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
     calls = count_calls(monkeypatch, "build_student_pool", "resolve_split")
     assert run_cli("sweep", "--config", path) == 0
     assert {name: len(out) for name, out in calls.items()} == {
-        "build_student_pool": 8, "resolve_split": 0}
+        "build_student_pool": 4, "resolve_split": 0}
 
 
 def test_sweep_holds_one_runs_pool_at_a_time(tmp_path, monkeypatch):
-    # every run is checked before the first trains, but keeps none of the
-    # sets its check built, and a run's pool is built by its label stage: when
-    # a run's mentor starts, no pool is alive
+    # every run is checked before the first trains, on row counts alone, and
+    # a run's pool is built by its label stage: when a run's mentor starts, no
+    # pool is alive
     path, _ = write_cfg(tmp_path, extra="sweep.ratios=0.25,0.5\nsweep.seeds=0,1\n")
     pools, alive = [], []
     build, train_mentor = pipeline.build_student_pool, cli.stage_train_mentor
@@ -1125,12 +1135,51 @@ def test_sweep_holds_one_runs_pool_at_a_time(tmp_path, monkeypatch):
     assert alive == [0] * 4, alive
 
 
+def test_run_all_builds_no_pool_before_label(tmp_path, monkeypatch):
+    # run-all's plan counts the pool's rows without gathering them: while the
+    # mentor trains no pool exists, and label builds the only one
+    path, _ = write_cfg(tmp_path)
+    calls = count_calls(monkeypatch, "build_student_pool")
+    built = {}
+    for name in ("stage_train_mentor", "stage_label"):
+
+        def counting(cfg, run, stage=getattr(cli, name), name=name):
+            built[name] = len(calls["build_student_pool"])
+            return stage(cfg, run)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert run_cli("run-all", "--config", path) == 0
+    assert built == {"stage_train_mentor": 0, "stage_label": 0}
+    assert len(calls["build_student_pool"]) == 1
+
+
+def test_baseline_on_an_injected_pool_builds_no_pool_and_trains_on_the_kept_rows(
+        tmp_path, monkeypatch):
+    # the baseline learns the hard labels of the pool's rows of train: it
+    # gathers those rows alone, never the injected pool it would drop them from
+    path, out = write_cfg(tmp_path, extra=(
+        "perturb.kind=inject\nperturb.ratio_bound=0.3\n"
+        "perturb.foreign_classes=3\nperturb.foreign_per_class=10\n"))
+    assert run_cli("split", "--config", path) == 0
+    calls = count_calls(monkeypatch, "build_student_pool")
+    trained, train_baseline = [], pipeline.train_baseline
+    monkeypatch.setattr(pipeline, "train_baseline",
+                        lambda *args: trained.append(args[1]) or train_baseline(*args))
+    assert run_cli("baseline", "--config", path) == 0
+    assert calls == {"build_student_pool": []}
+    train = pipeline.prepare_data(load_config(path))[0]
+    student = np.flatnonzero(~load_split_manifest(pipeline.manifest_path(out)))
+    assert len(trained) == 2
+    for pool in trained:
+        np.testing.assert_array_equal(pool.images, train.images[student])
+        np.testing.assert_array_equal(pool.labels, train.labels[student])
+
+
 def test_a_verb_gathers_only_the_train_rows_it_trains_on_or_labels(tmp_path, monkeypatch):
     # a split is rows until a stage reads their pixels: on the 1,250 train rows
     # of configs/synthetic.cfg, split gathers none, train-mentor the 250 mentor
     # rows, and label, train-student and baseline the 1,000 pool rows each;
-    # run-all gathers both once; a 2 x 2 sweep gathers each run's mentor rows
-    # once and its pool rows twice (the check of every run, then its stages)
+    # run-all gathers both once, and so does each run of a 2 x 2 sweep
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.cfg")
     flags = [a for o in (f"output_dir={tmp_path / 'run'}", "mentor_train.epochs=1",
                          "student_train.epochs=1", "sweep.ratios=0.25,0.5", "sweep.seeds=0,1")
@@ -1157,7 +1206,7 @@ def test_a_verb_gathers_only_the_train_rows_it_trains_on_or_labels(tmp_path, mon
         assert run_cli(verb, "--config", config, *flags) == 0, verb
         counts[verb] = sum(gathered)
     assert counts == {"split": 0, "train-mentor": 250, "label": 1000, "train-student": 1000,
-                      "baseline": 1000, "run-all": 1250, "sweep": 8140}
+                      "baseline": 1000, "run-all": 1250, "sweep": 5000}
 
 
 @pytest.mark.parametrize("verbs,count", [(("run-all",), 1), (("sweep",), 4)])

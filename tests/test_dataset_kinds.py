@@ -157,6 +157,18 @@ def test_a_dataset_path_that_cannot_be_read_is_a_missing_input(tmp_path, capsys,
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_foreign_batches_of_another_image_shape_are_a_config_error(tmp_path, capsys):
+    # CIFAR-100 rows cannot join a pool of 8x8 IDX images: refused, naming the
+    # key, before run-all writes its manifest or trains its mentor
+    cfg = mnist_config(tmp_path, [i % 10 for i in range(100)], [i % 10 for i in range(20)])
+    foreign = write_cifar(tmp_path / "foreign.bin", [0, 1], np.random.default_rng(2), [0, 0])
+    cfg += f"perturb.kind=inject\nperturb.foreign_batches={foreign}\n"
+    code, out = run_all(tmp_path, cfg.replace("perturb.kind=reduce\n", ""), "shapes")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: perturb.foreign_batches: (3, 32, 32)")
+    assert not os.path.exists(out)
+
+
 SYNTHETIC_INJECT = """
 dataset.kind=synthetic
 dataset.classes=4

@@ -127,19 +127,33 @@ def restamped(raw, version):
 def test_a_checkpoint_whose_header_is_too_large_to_build_is_refused_before_it_allocates(
         tmp_path):
     # the digest holds, but "fc-s" on the header's 3x65535x65535 input would be
-    # 1.3e11 weights (1 TB): the builder's bound refuses it before He init
+    # 1.3e11 weights (1 TB): the builder's bound refuses it before He init, as
+    # a malformed artifact that names its file
     arch = b"fc-s"
     header = struct.pack("<I", len(arch)) + arch + struct.pack("<4I", 3, 65535, 65535, 10)
     path = tmp_path / "big.ckpt"
     path.write_bytes(digested(b"DMCK" + struct.pack("<I", 2) + header))
     tracemalloc.start()
     try:
-        with pytest.raises(ShapeError, match=r"^fc \(token 1\): the stack would hold"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: header arch fc-s: fc (token 1):"
+                                                        " the stack would hold")):
             load_checkpoint(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"refusing the header peaked at {peak} bytes"
+
+
+def test_a_checkpoint_whose_header_arch_does_not_parse_is_a_format_error_naming_it(tmp_path):
+    # a digest-valid header whose arch has an unknown token: the parser's
+    # message, under the file's name
+    arch = b"zz-s"
+    header = struct.pack("<I", len(arch)) + arch + struct.pack("<4I", 1, 4, 4, 3)
+    path = tmp_path / "zz.ckpt"
+    path.write_bytes(digested(b"DMCK" + struct.pack("<I", 2) + header))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: header arch zz-s: unknown layer token 'zz' at token 1")):
+        load_checkpoint(str(path))
 
 
 def test_a_checkpoint_whose_payload_is_not_its_archs_size_is_refused_before_a_layer_is_made(
