@@ -17,6 +17,13 @@ so eval-mode forwards leave no state behind. The softmax's ``dy`` is the target
 rows: it returns the fused softmax + cross-entropy gradient. A stack clears
 ``input_grad`` on its first layer, whose input gradient nothing reads, so a
 leading conv or fc computes only its parameter gradients.
+
+``LayerStack.train_step`` may run a batch as two halves, on the two threads
+that ``predict``'s batches use, each half on shallow copies of the layers with
+their own cache and grads and the shared parameters. A layer's bytes depend
+only on its inputs' values and shapes, not on the thread or on how many
+threads BLAS has (OpenBLAS splits a GEMM over its output, not its sums), so a
+half's bytes do not depend on the cores.
 """
 
 from __future__ import annotations
@@ -77,14 +84,14 @@ class Layer:
 _COL_BYTES = 8 << 20
 
 
-def _runs(n, image_bytes):
-    """Split n images into equal (start, end) runs of at most ``_COL_BYTES``.
+def _runs(n, image_bytes, cap=_COL_BYTES):
+    """Split n images into equal (start, end) runs of at most ``cap`` bytes.
 
     A one-image run may exceed the cap. When n splits, equal runs (unlike full
     chunks and a remainder) each hold at least a quarter of the cap, so no GEMM
     gets small enough for a BLAS small-matrix kernel, which sums in another order.
     """
-    parts = -(-n // max(1, _COL_BYTES // image_bytes))
+    parts = -(-n // max(1, cap // image_bytes))
     return [(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
@@ -106,6 +113,12 @@ def _im2col(x, k, pad, out=None):
     return cols.reshape(-1, k * k * c)
 
 
+def _he(rng, fan_in, shape):
+    """He-initialized weights, N(0, sqrt(2 / fan_in)); left unset (``np.empty``)
+    where ``rng`` is None, for a caller that fills them, as a checkpoint load does."""
+    return np.empty(shape) if rng is None else rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
+
+
 class Conv2d(Layer):
     """2-d convolution (cross-correlation), stride 1, zero padding k//2.
 
@@ -121,8 +134,8 @@ class Conv2d(Layer):
 
     Both modes unfold and multiply one run of ``_runs`` at a time. Eval mode
     holds one run's columns; train mode keeps the whole batch's for backward's
-    one weight-gradient GEMM, and backward builds dx run by run. All bytes
-    equal an unsplit conv's. Buffers take their operands' dtype.
+    one weight-gradient GEMM, and backward builds dx in runs of half the cap.
+    All bytes equal an unsplit conv's. Buffers take their operands' dtype.
     """
 
     kind = "c"
@@ -133,10 +146,8 @@ class Conv2d(Layer):
         self.out_channels = out_channels
         self.kernel = kernel
         self.pad = kernel // 2
-        fan_in = in_channels * kernel * kernel
-        self.params["weight"] = rng.normal(
-            0.0, np.sqrt(2.0 / fan_in), (out_channels, in_channels, kernel, kernel)
-        )
+        self.params["weight"] = _he(rng, in_channels * kernel * kernel,
+                                    (out_channels, in_channels, kernel, kernel))
         self.params["bias"] = np.zeros(out_channels)
 
     def _weight_rows(self):
@@ -179,7 +190,8 @@ class Conv2d(Layer):
         # the column rows, and the returned (N, C, H, W) view keeps that order.
         w_rows, m = self._weight_rows(), oh * ow
         dxp = np.zeros((n, h + 2 * p, w_in + 2 * p, c), dtype=np.result_type(dy, w_rows))
-        for s, e in _runs(n, m * k * k * c * cols.itemsize):  # forward's runs
+        # half forward's cap: each thread of a split train step holds its own run
+        for s, e in _runs(n, m * k * k * c * cols.itemsize, _COL_BYTES // 2):
             dcols = (dy_mat[s * m : e * m] @ w_rows).reshape(e - s, oh, ow, k, k, c)
             for u in range(k):
                 for v in range(k):
@@ -195,8 +207,9 @@ class MaxPool2d(Layer):
     offset (u, v) in row-major order. Train mode records, per output, the
     index of the first slab that holds the max, so backward routes every
     output gradient to exactly one input pixel (ties break to the first
-    position in row-major window order). Backward builds dx in dy's dtype,
-    copying dy's bits through the unsigned integer type of the same width.
+    position in row-major window order). Backward builds dx in dy's dtype and
+    the indices' memory order, copying dy's bits through the unsigned integer
+    type of the same width.
     """
 
     kind = "mp"
@@ -244,6 +257,13 @@ class MaxPool2d(Layer):
 
     def _backward(self, dy, cache):
         idx, x_shape = cache
+        if np.argsort(dy.strides).tolist() != np.argsort(idx.strides).tolist():
+            # one copy into idx's memory order (an fc after the pool hands back
+            # channels-first rows against channels-last indices), so that every
+            # pass below reads and writes in order; the bits are unchanged
+            aligned = np.empty_like(idx, dtype=dy.dtype)
+            aligned[...] = dy
+            dy = aligned
         # idx has the input's memory order, so dx gets it too
         dx = np.zeros_like(idx, dtype=dy.dtype, shape=x_shape)
         # Select on the bit patterns: dy's bits times 1 or 0 give dy or +0.0
@@ -264,9 +284,7 @@ class FullyConnected(Layer):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.params["weight"] = rng.normal(
-            0.0, np.sqrt(2.0 / in_features), (in_features, out_features)
-        )
+        self.params["weight"] = _he(rng, in_features, (in_features, out_features))
         self.params["bias"] = np.zeros(out_features)
 
     def _forward(self, x, train, rng):
@@ -289,7 +307,9 @@ class FullyConnected(Layer):
 
 class ReLU(Layer):
     """max(x, 0), implicit after each conv (past the max-pools right after it)
-    and fc. The stack sets ``in_place`` where nothing else reads x, to overwrite it."""
+    and fc. The stack sets ``in_place`` where nothing else reads x, to overwrite it.
+    Backward builds dx in x's memory order, so a max-pool before it gets its
+    gradient in its own order, whatever order an fc after hands back."""
 
     kind = "relu"
     in_place = False
@@ -299,7 +319,7 @@ class ReLU(Layer):
         return np.maximum(x, 0.0, out=x if self.in_place else None), mask
 
     def _backward(self, dy, mask):
-        return dy * mask
+        return np.multiply(dy, mask, out=np.empty_like(mask, dtype=dy.dtype))
 
 
 class BatchNorm(Layer):
@@ -393,9 +413,12 @@ class Dropout(Layer):
 class Softmax(Layer):
     """Final layer: flattens, then row-wise softmax to class probabilities. Its
     backward takes target rows and returns the fused softmax + mean
-    cross-entropy gradient, (probs - targets) / N, in its input's shape."""
+    cross-entropy gradient, (probs - targets) / N, in its input's shape. N is
+    the target rows, or ``batch_rows`` where set: the whole batch that a
+    split train step's half belongs to."""
 
     kind = "s"
+    batch_rows = None
 
     def _forward(self, x, train, rng):
         probs = softmax(x.reshape(x.shape[0], -1))
@@ -405,4 +428,4 @@ class Softmax(Layer):
         probs, x_shape = cache
         if targets.shape != probs.shape:
             raise ShapeError(f"targets {targets.shape} do not match output {probs.shape}")
-        return ((probs - targets) / targets.shape[0]).reshape(x_shape)
+        return ((probs - targets) / (self.batch_rows or targets.shape[0])).reshape(x_shape)

@@ -246,8 +246,8 @@ def _blas_threads():
     """numpy's bundled OpenBLAS thread-count (getter, setter), found once.
 
     None where there is one core or no such library: ``predict`` then runs
-    its batches on the calling thread alone, with the same bytes, and says
-    so once on stderr.
+    its batches, and ``train_step`` its halves, on the calling thread alone,
+    with the same bytes, and this says so once on stderr.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cores or 1) < 2:
@@ -263,21 +263,47 @@ def _blas_threads():
                     put.argtypes = [ctypes.c_int]
                     return get, put
         why = "numpy's OpenBLAS thread setter not found"
-    print(f"distillnet: predict runs on one thread ({why})", file=sys.stderr)
+    print(f"distillnet: predict batches and train halves run on one thread ({why})",
+          file=sys.stderr)
     return None
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Fix glibc's malloc settings, once: blocks of up to 32 MB come from the
+    heap, up to 128 MB of free heap top stays mapped, and every thread that
+    allocates from here on shares the one heap. glibc starts both thresholds
+    at 128 KB and raises them to the largest block the process has freed from
+    its own mmap, and twice that. A split train step's blocks are half a
+    whole step's, so each half freed more than the raised trim threshold and
+    the next half faulted it all in again: about 8,000 minor faults and 20-30
+    ms of system time per mnist mentor step, where a whole step made 12-621.
+    On one heap a half reuses the blocks the other freed, where the worker's
+    own heap held its peak beside the caller's (+3.4 MB on the mnist
+    train-student verb); the heap's free top then reaches past 64 MB, the
+    most glibc's own rule keeps. No-op without glibc's ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def _run_batches(fn, batches, image_values):
     """``[fn(b) for b in batches]``, on the engine's one thread budget.
 
+    ``predict`` runs its eval batches here and ``train_step`` its two halves.
     Batch ``i`` runs on thread ``i % 2``, the caller or one worker, while
     BLAS is held at one thread, so worker threads times BLAS threads never
     exceed the cores. With one batch, one core, no OpenBLAS to hold, or
     images under ``_THREAD_MIN`` values, the caller runs every batch and
     BLAS is left as it is: small images' batches are short numpy calls that
     mostly hold the GIL, so two threads would trade it back and forth (a
-    1x8x8 stack's 400-image test pass ran slower on two). An error in the
-    worker is raised here after it ends.
+    1x8x8 stack's 400-image test pass ran slower on two). Either way each
+    batch runs the same calls on the same shapes, and OpenBLAS splits a GEMM
+    over its output, not its sums, so the bytes do not depend on the path.
+    An error in the worker is raised here after it ends.
     """
     blas = _blas_threads() if len(batches) > 1 and image_values >= _THREAD_MIN else None
     if blas is None:
@@ -309,6 +335,14 @@ def _run_batches(fn, batches, image_values):
     if failed:
         raise failed[0]
     return out
+
+
+def _copy(obj, **state):
+    """A shallow copy of ``obj`` with ``state`` set, without the callables
+    patched on the instance (a spy on ``forward`` calls the original)."""
+    new = object.__new__(type(obj))
+    new.__dict__.update({k: v for k, v in vars(obj).items() if not callable(v)}, **state)
+    return new
 
 
 class LayerStack:
@@ -377,6 +411,57 @@ class LayerStack:
         finally:
             self.set_mode(prev)
 
+    def train_step(self, images, targets):
+        """One ``forward`` and ``backward``; returns the probabilities, and
+        the layers hold the gradients (``gradients()``).
+
+        A batch of two or more rows splits into rows [0, n//2) and [n//2, n)
+        when the stack is in train mode, has a conv and no bn or d, and its
+        images hold at least ``_THREAD_MIN`` values. ``_run_batches`` runs
+        the halves, on two threads where it can. Each half runs ``forward``
+        and ``backward`` on its own copy of the stack (``_half``), whose
+        softmax divides by n, and the layers' gradients are the halves'
+        summed, first half + second half. Whether a batch splits depends on
+        the arch, the image shape and n alone, never on the cores, and each
+        half's bytes do not depend on its thread (see ``_run_batches``), so
+        neither do the step's. bn would take per-half statistics and d would
+        draw its masks in thread order, so those stacks stay whole; so do
+        fc-only stacks and small images, which ran slower split.
+        """
+        n, kinds = len(images), {layer.kind for layer in self.layers}
+        if (n < 2 or self.mode != "train" or "c" not in kinds or kinds & {"bn", "d"}
+                or math.prod(self.input_shape) < _THREAD_MIN):
+            probs = self.forward(images)
+            self.backward(targets)
+            return probs
+
+        _keep_freed_memory()
+        for layer in self.layers:  # the last step's, freed before the halves make theirs
+            layer.grads = {}
+
+        def run(rows):
+            half = self._half(n)
+            probs = half.forward(images[rows])
+            half.backward(targets[rows])
+            return probs, half.layers
+
+        (first, ones), (second, twos) = _run_batches(
+            run, [slice(0, n // 2), slice(n // 2, n)], math.prod(self.input_shape))
+        for layer, one, two in zip(self.layers, ones, twos):
+            for name, grad in one.grads.items():
+                grad += two.grads.pop(name)  # in place: a third copy would raise the peak
+            layer.grads = one.grads
+        return np.concatenate([first, second])
+
+    def _half(self, batch_rows):
+        """A stack on shallow copies of the layers, for one half of a
+        ``batch_rows``-row train step: each copy has its own ``cache`` and
+        ``grads`` and shares the parameters, and the softmax divides by
+        ``batch_rows``."""
+        half = _copy(self, layers=[_copy(layer, cache=None, grads={}) for layer in self.layers])
+        half.layers[-1].batch_rows = batch_rows
+        return half
+
     def backward(self, targets):
         """Gradient of mean cross-entropy against ``targets`` w.r.t. every parameter.
 
@@ -419,9 +504,11 @@ def parse_arch(spec, input_shape, num_classes, seed=0):
 
     Parameters are He-initialized from ``np.random.default_rng(seed)``, layer
     by layer in stack order, so equal (spec, shapes, seed) always yields
-    bit-identical stacks.
+    bit-identical stacks. ``seed=None`` draws nothing and leaves the weights
+    unset, for a caller that fills every state array, as a checkpoint load does.
     """
-    tokens, makers, _ = _walk(spec, input_shape, num_classes, np.random.default_rng(seed))
+    rng = None if seed is None else np.random.default_rng(seed)
+    tokens, makers, _ = _walk(spec, input_shape, num_classes, rng)
     layers = [make() for make in makers]
     for prev, relu in zip(layers, layers[1:]):  # outputs that no caller or cache reads
         if relu.kind == "relu":

@@ -181,7 +181,7 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: {arch} on {'x'.join(map(str, input_shape))} images and"
                           f" {num_classes} classes holds {size:,} values ({4 * size:,} bytes),"
                           f" the payload {have:,} bytes")
-    stack = parse_arch(arch, input_shape, num_classes, seed=0)
+    stack = parse_arch(arch, input_shape, num_classes, seed=None)  # no He init to overwrite
     for _, arr in stack.state_items():
         arr[...] = np.frombuffer(cur.take(arr.size * 4), dtype="<f4").reshape(arr.shape)
     stack.set_mode("eval")

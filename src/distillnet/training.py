@@ -145,15 +145,15 @@ def train(stack, images, targets, test_set, cfg, progress=None):
         for batch, start in enumerate(range(0, n, cfg.batch_size), 1):
             sel = order[start : start + cfg.batch_size]
             batch_targets = targets[sel]
-            loss = cross_entropy(stack.forward(images[sel]), batch_targets, check_target=False)
+            loss = cross_entropy(stack.train_step(images[sel], batch_targets), batch_targets,
+                                 check_target=False)
             if not np.isfinite(loss):
                 raise ValidationError(
                     f"{stack.arch}: training loss is {loss!r} at epoch {epoch}, "
                     f"batch {batch}; training diverged"
                 )
             loss_sum += loss * sel.size
-            grads = stack.backward(batch_targets)
-            sgd_step(params, grads, velocity, epoch_cfg)
+            sgd_step(params, stack.gradients(), velocity, epoch_cfg)
         test_accuracy, test_loss, _ = _test_metrics(stack, test_set)
         log = EpochLog(epoch, loss_sum / n, test_loss, test_accuracy,
                        time.perf_counter() - t0)

@@ -1,4 +1,4 @@
-"""Byte stability across commits: every artifact of six small runs against
+"""Byte stability across commits: every artifact of seven small runs against
 a committed table of sha256 digests.
 
 C10 compares two runs of one commit; this compares a run with the bytes the
@@ -8,8 +8,10 @@ here. The runs are ``run-all`` + ``baseline`` on ``configs/synthetic.cfg
 ``perturb.kind=inject`` (each run's pool holds foreign rows), ``run-all`` +
 ``baseline`` on the sweep's config with ``perturb.kind=reduce`` (an unbalanced
 pool), the tiny
-MNIST ``run-all`` of ``test_dataset_kinds`` and its CIFAR-10 ``run-all`` +
-``baseline`` (whose pool holds injected CIFAR-100 rows).
+MNIST ``run-all`` of ``test_dataset_kinds``, its CIFAR-10 ``run-all`` +
+``baseline`` (whose pool holds injected CIFAR-100 rows), and a ``run-all`` on
+1x16x16 images whose conv stacks train each batch as two halves
+(``LayerStack.train_step``); every other run's stacks train whole.
 
 Float results depend on numpy and on the OpenBLAS kernels it picked, so the
 table is keyed by the numpy version and the OpenBLAS core name; on any other
@@ -53,6 +55,28 @@ student_train.epochs=3
 student_train.batch_size=8
 sweep.ratios=0.25,0.5
 sweep.seeds=0,1
+"""
+
+# 1x16x16 images reach _THREAD_MIN, so the conv stacks split their batches:
+# 80 mentor rows in batches of 9 (halves of 4 and 5, and a final 8), and an
+# 80-row pool in batches of 79 (halves of 39 and 40, and a one-row final
+# batch, which stays whole); the mentor reaches 92.5%
+SPLIT = """
+dataset.kind=synthetic
+dataset.classes=4
+dataset.per_class=40
+dataset.test_per_class=10
+dataset.shape=1,16,16
+dataset.difficulty=0.6
+split.mentor_fraction=0.5
+mentor.arch=c(3,4)-mp-fc(16)-fc-s
+student.archs=c(3,4)-mp-fc(16)-fc-s,fc(16)-fc-s
+mentor_train.epochs=4
+mentor_train.batch_size=9
+mentor_train.learning_rate=0.05
+student_train.epochs=4
+student_train.batch_size=79
+student_train.learning_rate=0.05
 """
 
 
@@ -100,6 +124,7 @@ RUNS = {
     "mnist": lambda tmp: _run(tmp, ("run-all",), mnist_config(
         Path(tmp), [i % 10 for i in range(100)], [i % 10 for i in range(20)])),
     "cifar10": lambda tmp: _run(tmp, ("run-all", "baseline"), cifar_config(Path(tmp))),
+    "split": lambda tmp: _run(tmp, ("run-all",), SPLIT),
 }
 
 

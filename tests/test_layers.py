@@ -266,9 +266,26 @@ def test_maxpool_matches_oracle_bytes(case):
     pool = MaxPool2d(win)
     _assert_same_bytes(pool.forward(x, False, rng), want_y)
     _assert_same_bytes(pool.forward(x, True, rng), want_y)
+    # one of the two dy orders differs from the indices' and is copied into
+    # theirs first; either way dx has the oracle's bytes and x's memory order
     for dy_in in (dy, _channels_last(dy)):
         pool.forward(x, True, rng)
-        _assert_same_bytes(pool.backward(dy_in), want_dx)
+        dx = pool.backward(dy_in)
+        _assert_same_bytes(dx, want_dx)
+        assert np.argsort(dx.strides).tolist() == np.argsort(x.strides).tolist()
+
+
+def test_relu_backward_builds_dx_in_its_inputs_memory_order():
+    # an fc hands a channels-first gradient to the ReLU after a pool whose
+    # output is channels-last: dx comes back channels-last, with dy * mask's bits
+    rng = np.random.default_rng(13)
+    x = _channels_last(rng.normal(size=(2, 3, 4, 5)))
+    dy = rng.normal(size=x.shape)
+    relu = ReLU()
+    relu.forward(x, True, rng)
+    dx = relu.backward(dy)
+    _assert_same_bytes(dx, dy * (x > 0))
+    assert dx.strides == np.empty_like(x).strides
 
 
 def test_maxpool_keeps_first_signed_zero():

@@ -688,11 +688,14 @@ def test_predict_runs_eval_mode_and_restores_mode(mode, monkeypatch):
 
 @pytest.fixture
 def blas():
-    """numpy's OpenBLAS thread-count (getter, setter); skips where predict
-    has no second thread to run (one core, or no such library)."""
+    """numpy's OpenBLAS thread-count (getter, setter); skips where predict's
+    batches and a train step's halves have no second thread to run on (one
+    core, or no such library). They then run one after the other on the
+    caller, with the same bytes, since neither their shapes nor their sums
+    depend on the thread."""
     found = network._blas_threads()
     if found is None:
-        pytest.skip("predict runs on one thread here")
+        pytest.skip("predict batches and train halves run on one thread here")
     return found
 
 
@@ -706,7 +709,7 @@ class _CountingThread(threading.Thread):
 
 @pytest.fixture
 def started(monkeypatch):
-    """The number of threads predict starts, read after the call."""
+    """The number of threads predict or a train step starts, read after the call."""
     _CountingThread.started = 0
     monkeypatch.setattr(threading, "Thread", _CountingThread)
     return lambda: _CountingThread.started
@@ -780,6 +783,111 @@ def test_predict_starts_no_thread_for_one_batch_or_small_images(n, shape, starte
     stack = parse_arch("fc(8)-fc-s", shape, 3, seed=0)
     assert stack.predict(np.zeros((n, *shape))).shape == (n, 3)
     assert started() == 0
+
+
+_SPLIT_ARCH = "c(3,8)-mp-c(3,8)-mp-fc(16)-fc-s"  # a conv, no bn or d: splits on 1x16x16
+
+
+def _step_bytes(stack, x, targets):
+    """The bytes of one train step: its probabilities, then every gradient."""
+    stack.set_mode("train")
+    probs = stack.train_step(x, targets)
+    return [probs.tobytes()] + [g.tobytes() for g in stack.gradients()]
+
+
+def _split_case(n, seed=3):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 1, 16, 16))
+    return x, np.eye(5)[rng.integers(0, 5, n)]
+
+
+@pytest.mark.parametrize("n", [2, 9, 64])  # odd n: halves of 4 and 5 rows
+def test_threaded_train_step_matches_the_sequential_path_bytes(n, blas, started, monkeypatch):
+    x, targets = _split_case(n)
+    got = _step_bytes(parse_arch(_SPLIT_ARCH, (1, 16, 16), 5, seed=3), x, targets)
+    assert started() == 1
+    monkeypatch.setattr(network, "_blas_threads", lambda: None)
+    want = _step_bytes(parse_arch(_SPLIT_ARCH, (1, 16, 16), 5, seed=3), x, targets)
+    assert started() == 1  # the halves ran one after the other on the caller
+    assert got == want
+
+
+def test_train_step_bytes_do_not_depend_on_the_blas_thread_count(blas, monkeypatch):
+    # on the sequential path BLAS keeps the count it finds; each half's conv
+    # GEMMs are large enough for OpenBLAS to split over two threads
+    get, put = blas
+    monkeypatch.setattr(network, "_blas_threads", lambda: None)
+    arch = "c(3,16)-mp-c(3,16)-mp-fc(32)-fc-s"
+    x, targets = _split_case(64, seed=5)
+    old = get()
+    try:
+        put(1)
+        one = _step_bytes(parse_arch(arch, (1, 16, 16), 5, seed=5), x, targets)
+        put(2)
+        two = _step_bytes(parse_arch(arch, (1, 16, 16), 5, seed=5), x, targets)
+    finally:
+        put(old)
+    assert one == two
+
+
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_summed_half_gradients_match_a_whole_batch_backward(n):
+    # the halves' softmax divides by the whole batch's n, so their sum is the
+    # whole batch's mean gradient up to the order of the sums
+    x, targets = _split_case(n)
+    split = parse_arch(_SPLIT_ARCH, (1, 16, 16), 5, seed=3)
+    probs = split.train_step(x, targets)
+    whole = parse_arch(_SPLIT_ARCH, (1, 16, 16), 5, seed=3)
+    want = [whole.forward(x)] + whole.backward(targets)
+    for got, ref in zip([probs] + split.gradients(), want, strict=True):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_an_error_in_a_train_half_reaches_the_caller_and_everything_is_restored(
+        blas, monkeypatch):
+    get, _ = blas
+    stack = parse_arch(_SPLIT_ARCH, (1, 16, 16), 5, seed=3)
+    x, targets = _split_case(8)
+    forward, seen = layers.Softmax._forward, []
+
+    def failing_forward(self, *args):
+        seen.append(get())
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker half failed")
+        return forward(self, *args)
+
+    monkeypatch.setattr(layers.Softmax, "_forward", failing_forward)
+    before = get()
+    with pytest.raises(RuntimeError, match="worker half failed"):
+        stack.train_step(x, targets)
+    assert seen and set(seen) == {1}  # BLAS held at one thread while they ran
+    assert get() == before
+    assert stack.mode == "train"
+    assert all(layer.cache is None for layer in stack.layers)  # the halves kept theirs
+    monkeypatch.setattr(layers.Softmax, "_forward", forward)
+    want = parse_arch(_SPLIT_ARCH, (1, 16, 16), 5, seed=3)
+    assert _step_bytes(stack, x, targets) == _step_bytes(want, x, targets)
+
+
+@pytest.mark.parametrize("arch, shape, n", [
+    (_SPLIT_ARCH, (1, 15, 15), 8),                  # images under _THREAD_MIN values
+    ("c(3,4)-mp(8)-s", (1, 8, 8), 8),               # 1x8x8
+    ("fc(16)-fc-s", (1, 16, 16), 8),                # no conv
+    ("c(3,4)-bn-mp-fc(8)-fc-s", (1, 16, 16), 8),    # bn
+    ("c(3,4)-mp-d(0.5)-fc(8)-fc-s", (1, 16, 16), 8),  # d
+    (_SPLIT_ARCH, (1, 16, 16), 1),                  # one row
+], ids=["under-thread-min", "1x8x8", "fc-only", "bn", "d", "one-row"])
+def test_train_step_stays_whole_and_starts_no_thread(arch, shape, n, started):
+    # each of these steps is one forward and one backward of the whole batch
+    # (both stacks' dropout draws from a fresh default_rng(0))
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(n, *shape))
+    targets = np.eye(4)[rng.integers(0, 4, n)]
+    got = _step_bytes(parse_arch(arch, shape, 4, seed=1), x, targets)
+    assert started() == 0
+    whole = parse_arch(arch, shape, 4, seed=1)
+    assert got == [whole.forward(x).tobytes()] + [g.tobytes() for g in whole.backward(targets)]
 
 
 def test_parse_error_quotes_a_window_and_places_a_number_at_its_first_digit():

@@ -15,7 +15,7 @@ from distillnet.errors import (
     ShapeError,
     ValidationError,
 )
-from distillnet import network, pipeline
+from distillnet import layers, network, pipeline
 from distillnet.network import parse_arch
 from distillnet.pipeline import (
     SoftLabelSet,
@@ -74,6 +74,32 @@ def test_checkpoint_preserves_batchnorm_running_stats(tmp_path):
     bn2 = [l for l in loaded.layers if l.kind == "bn"][0]
     assert np.allclose(bn.running_mean, bn2.running_mean, atol=1e-6)
     assert np.allclose(bn.running_var, bn2.running_var, atol=1e-6)
+
+
+def test_a_loaded_stack_holds_the_saved_float32_values_and_draws_no_he_init(
+        tmp_path, monkeypatch):
+    # every kind that holds state: conv and fc weights and biases, bn's gamma,
+    # beta and running statistics (moved by training); the load makes the
+    # layers without He init, so every value comes from the payload
+    stack, _ = trained_stack("c(3,2)-mp-bn-fc(8)-d-fc-s")
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(stack, path)
+    rngs, he = [], layers._he
+
+    def spy(rng, *args):
+        rngs.append(rng)
+        return he(rng, *args)
+
+    monkeypatch.setattr(layers, "_he", spy)
+    loaded = load_checkpoint(path)
+    assert rngs == [None, None, None]  # the conv and both fcs drew nothing
+    saved, got = stack.state_items(), loaded.state_items()
+    assert [name for name, _ in got] == [name for name, _ in saved]
+    assert {name.split(".")[1] for name, _ in got} == {"c", "bn", "fc"}
+    assert any(name.endswith("running_var") for name, _ in got)
+    for (name, want), (_, arr) in zip(saved, got):
+        assert arr.dtype == np.float64, name
+        assert arr.tobytes() == want.astype(np.float32).astype(np.float64).tobytes(), name
 
 
 def test_checkpoint_magic_and_layout(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from distillnet.data import gen_synthetic_split, one_hot_rows
 from distillnet.errors import ShapeError, ValidationError
+from distillnet import network
 from distillnet.network import parse_arch
 from distillnet.training import EpochLog, TrainConfig, cross_entropy, sgd_step, train
 
@@ -301,6 +302,24 @@ def test_train_gradient_is_batch_order_invariant():
         results.append([arr.copy() for _, arr in stack.state_items()])
     for a, b in zip(*results):
         assert np.allclose(a, b, atol=1e-12)
+
+
+def test_train_on_a_splitting_stack_gives_the_same_bytes_on_one_thread(monkeypatch):
+    # a conv stack on 1x16x16 images trains each batch as two halves: on two
+    # threads where it can, and one after the other on the caller where
+    # network._blas_threads finds none; the parameters and logs are the same.
+    # 40 rows in batches of 13: halves of 6 and 7, and a one-row final batch
+    train_set, test_set = gen_synthetic_split(4, 10, 5, (1, 16, 16), 3, 0.5)
+    targets = one_hot_rows(train_set.labels, 4)
+    cfg = TrainConfig(epochs=2, batch_size=13, seed=4)
+    results = []
+    for threads in (network._blas_threads, lambda: None):
+        monkeypatch.setattr(network, "_blas_threads", threads)
+        stack = parse_arch("c(3,4)-mp-fc(16)-fc-s", (1, 16, 16), 4, seed=1)
+        stack, logs = train(stack, train_set.images, targets, test_set, cfg)
+        results.append(([p.tobytes() for p in stack.parameters()],
+                        [(log.train_loss, log.test_loss) for log in logs]))
+    assert results[0] == results[1]
 
 
 def test_train_validation_errors():
