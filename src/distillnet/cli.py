@@ -2,11 +2,11 @@
 
 Every verb reads a ``--config`` file (plus optional ``--override key=value``
 edits, then ``--seed S`` as one ``<key>=S`` edit per ``*.seed`` key), loads
-the dataset once and hands it to its ``stage_<verb>`` as a ``_Run``, which
-makes the split's and the pool's train rows (gathered only by a stage that reads
-their pixels), the pool and the models once for its stages (``bench`` also gets
---reps and --warmup). A verb trains its models in turn in this process and
-talks to the other verbs only through files in output_dir:
+the dataset once and hands its ``stage_<verb>`` one ``_Run`` alone (``bench``
+also gets --reps and --warmup): the cfg its stages read, and the split's and the
+pool's train rows (gathered only by a stage that reads their pixels), the pool
+and the models, each made once for them. A verb trains its models in turn in
+this process and talks to the other verbs only through files in output_dir:
 
   split          -> split_manifest.csv (always recomputed)
   train-mentor   manifest -> mentor.ckpt, epochs_mentor.csv
@@ -120,30 +120,31 @@ class _Run:
             if kind == "student" or os.path.exists(pipeline.ckpt_path(self.cfg.output_dir, m))]
 
 
-def stage_split(cfg, run):
-    pipeline.write_split(cfg, run.train.n, run.rows[0])
+def stage_split(run):
+    pipeline.write_split(run.cfg, run.train.n, run.rows[0])
     # a lone split replays the manifest it wrote; run-all and sweep log their plan
     mentor_idx, student_idx = run.split
     _log(f"split: {mentor_idx.size} mentor / {student_idx.size} pool images"
-         f" -> {pipeline.manifest_path(cfg.output_dir)}")
+         f" -> {pipeline.manifest_path(run.cfg.output_dir)}")
 
 
-def _train_and_save(cfg, model_id, arch, inputs):
-    """Train arch as model_id by trainer(train_cfg, *head, arch, test_set,
-    progress), inputs being (trainer, train_cfg, head, test_set); save its
-    checkpoint and epoch CSV."""
-    trainer, train_cfg, head, test_set = inputs
+def _train_and_save(run, model_id, arch, trainer, *head):
+    """Train arch as model_id by trainer(train_cfg, *head, arch, run.test,
+    progress), train_cfg being run.cfg's mentor_train for the mentor and its
+    student_train otherwise; save its checkpoint and epoch CSV."""
+    cfg, mentor = run.cfg, model_id == "mentor"
+    train_cfg = cfg.mentor_train if mentor else cfg.student_train
 
     def progress(log):
         _log(f"[{model_id}] epoch {log.epoch}/{train_cfg.epochs}"
              f" train_loss={log.train_loss:.4f} test_loss={log.test_loss:.4f}"
              f" test_acc={log.test_accuracy:.4f}")
 
-    stack, logs = trainer(train_cfg, *head, arch, test_set, progress)
+    stack, logs = trainer(train_cfg, *head, arch, run.test, progress)
     pipeline.save_checkpoint(stack, pipeline.ckpt_path(cfg.output_dir, model_id))
     report.write_epochs(logs, report.epochs_csv_path(cfg.output_dir, model_id),
                         cfg.zero_wall_time)
-    tag = "train-mentor" if model_id == "mentor" else model_id
+    tag = "train-mentor" if mentor else model_id
     _log(f"{tag}: final test accuracy {logs[-1].test_accuracy:.4f}")
     return logs
 
@@ -165,12 +166,11 @@ def _check(run, who, n):
                           f"{batch} exceeds the {n} rows it trains on")
 
 
-def stage_train_mentor(cfg, run):
+def stage_train_mentor(run):
     """Train the mentor on its split's hard labels; returns its epoch logs."""
     _check(run, "mentor", run.split[0].size)
-    inputs = (pipeline.train_baseline, cfg.mentor_train, (run.train.subset(run.split[0]),),
-              run.test)
-    return _train_and_save(cfg, "mentor", cfg.mentor_arch, inputs)
+    return _train_and_save(run, "mentor", run.cfg.mentor_arch, pipeline.train_baseline,
+                           run.train.subset(run.split[0]))
 
 
 def _require_arch(path, made, key, arch, verb):
@@ -179,11 +179,11 @@ def _require_arch(path, made, key, arch, verb):
         raise MissingArtifactError(f"{path} was made for {key}={made}, not {arch}; rerun `{verb}`")
 
 
-def stage_label(cfg, run):
+def stage_label(run):
     soft = pipeline.generate_soft_labels(run.mentor, run.pool.images)
-    pipeline.save_soft_labels(soft, pipeline.soft_labels_path(cfg.output_dir))
+    pipeline.save_soft_labels(soft, pipeline.soft_labels_path(run.cfg.output_dir))
     _log(f"label: {soft.rows.shape[0]} soft rows from {soft.mentor_id}"
-         f" -> {pipeline.soft_labels_path(cfg.output_dir)}")
+         f" -> {pipeline.soft_labels_path(run.cfg.output_dir)}")
 
 
 def _arch_ids(kind, cfg):
@@ -192,38 +192,36 @@ def _arch_ids(kind, cfg):
             for i in range(len(cfg.student_archs))]
 
 
-def _train_archs(kind, cfg, inputs):
-    """Train each student.archs entry as <kind>_<x>, in turn, on one set of
-    trainer inputs; returns their logs."""
-    return [_train_and_save(cfg, model_id, arch, inputs)
-            for model_id, arch in zip(_arch_ids(kind, cfg), cfg.student_archs)]
+def _train_archs(run, kind, trainer, *head):
+    """Train each student.archs entry as <kind>_<x>, in turn, by one trainer
+    on one head of inputs; returns their logs."""
+    return [_train_and_save(run, model_id, arch, trainer, *head)
+            for model_id, arch in zip(_arch_ids(kind, run.cfg), run.cfg.student_archs)]
 
 
-def stage_train_student(cfg, run):
+def stage_train_student(run):
     """Every student learns the mentor's soft labels for the one pool."""
     _check(run, "student", sum(map(len, run.pool_rows)))
-    path = pipeline.soft_labels_path(cfg.output_dir)
+    path = pipeline.soft_labels_path(run.cfg.output_dir)
     soft = pipeline.load_soft_labels(path)
-    _require_arch(path, soft.mentor_id, "mentor.arch", cfg.mentor_arch, "label")
+    _require_arch(path, soft.mentor_id, "mentor.arch", run.cfg.mentor_arch, "label")
     if soft.rows.shape[0] != run.pool.n:
         raise MissingArtifactError(f"{path} holds {soft.rows.shape[0]} rows for a"
                                    f" {run.pool.n}-image pool; rerun `label`")
     if soft.source_checksum != pipeline.image_payload_checksum(run.pool.images):
         raise MissingArtifactError(f"{path} was made for another pool's images; rerun `label`")
-    inputs = (pipeline.train_student, cfg.student_train, (run.pool.images, soft), run.test)
-    return _train_archs("student", cfg, inputs)
+    return _train_archs(run, "student", pipeline.train_student, run.pool.images, soft)
 
 
-def stage_baseline(cfg, run):
+def stage_baseline(run):
     """Every baseline learns the hard labels of the pool's rows of train (not
     the injected foreign ones), the students' reference."""
     kept = run.pool_rows[0]
     _check(run, "student", kept.size)
-    inputs = (pipeline.train_baseline, cfg.student_train, (run.train.subset(kept),), run.test)
-    return _train_archs("baseline", cfg, inputs)
+    return _train_archs(run, "baseline", pipeline.train_baseline, run.train.subset(kept))
 
 
-def stage_eval(cfg, run):
+def stage_eval(run):
     results, mentor_acc = [], None
     for model_id, stack in run.models:
         acc, _ = evaluate(stack, run.test)
@@ -234,20 +232,20 @@ def stage_eval(cfg, run):
         results.append(ModelResult(model_id, stack.arch, acc, rel))
         rel_txt = "" if rel is None else f" relative={rel:.2f}%"
         _log(f"eval: {model_id} accuracy={acc * 100.0:.2f}%{rel_txt}")
-    report.write_summary(results, report.summary_csv_path(cfg.output_dir))
-    _log(f"eval -> {report.summary_csv_path(cfg.output_dir)}")
+    report.write_summary(results, report.summary_csv_path(run.cfg.output_dir))
+    _log(f"eval -> {report.summary_csv_path(run.cfg.output_dir)}")
 
 
-def stage_confusion(cfg, run):
+def stage_confusion(run):
     for model_id, stack in run.models:
         counts = confusion_matrix(stack, run.test)
-        path = report.confusion_csv_path(cfg.output_dir, model_id)
+        path = report.confusion_csv_path(run.cfg.output_dir, model_id)
         report.write_confusion(counts, path)
         errors = int(counts.sum() - np.trace(counts))
         _log(f"confusion: {model_id} ({errors} misclassified) -> {path}")
 
 
-def stage_bench(cfg, run, reps, warmup):
+def stage_bench(run, reps, warmup):
     benches = []
     for model_id, stack in run.models:
         result = bench_inference(stack, run.test, reps=reps, warmup=warmup,
@@ -255,8 +253,8 @@ def stage_bench(cfg, run, reps, warmup):
         benches.append(result)
         _log(f"bench: {model_id} mean={result.mean_s:.4f}s std={result.std_s:.4f}s"
              f" over {reps} reps")
-    report.write_bench(benches, report.bench_csv_path(cfg.output_dir))
-    _log(f"bench -> {report.bench_csv_path(cfg.output_dir)}")
+    report.write_bench(benches, report.bench_csv_path(run.cfg.output_dir))
+    _log(f"bench -> {report.bench_csv_path(run.cfg.output_dir)}")
 
 
 def _plan(run):
@@ -268,12 +266,13 @@ def _plan(run):
     return run
 
 
-def stage_sweep(cfg, run):
+def stage_sweep(run):
     """Per (ratio, seed), the run-all stages up to train-student in
     output_dir/sweep/<ratio>_<seed>/, the mentor's arch as the only student;
     sweep.csv gets the per-ratio means over seeds. All runs share the one load,
     as prepare_data reads no key a run replaces. Each is _planned first, a ratio
     with no mentor rows naming sweep.ratios, and holds no pool till it labels."""
+    cfg = run.cfg
     seeds = cfg.sweep_seeds or (cfg.split.seed,)
     runs = [(ratio, [_Run(replace(
         cfg,
@@ -290,10 +289,10 @@ def stage_sweep(cfg, run):
     for ratio, ratio_runs in runs:
         mentor_accs, student_accs = [], []
         for one in ratio_runs:
-            stage_split(one.cfg, one)
-            mentor_accs.append(stage_train_mentor(one.cfg, one)[-1].test_accuracy)
-            stage_label(one.cfg, one)
-            student_accs.append(stage_train_student(one.cfg, one)[0][-1].test_accuracy)
+            stage_split(one)
+            mentor_accs.append(stage_train_mentor(one)[-1].test_accuracy)
+            stage_label(one)
+            student_accs.append(stage_train_student(one)[0][-1].test_accuracy)
             del one.pool, one.mentor
             _log(f"sweep: ratio={ratio:g} seed={one.cfg.split.seed}"
                  f" mentor={mentor_accs[-1]:.4f} student={student_accs[-1]:.4f}")
@@ -304,11 +303,11 @@ def stage_sweep(cfg, run):
     _log(f"sweep -> {report.sweep_csv_path(cfg.output_dir)}")
 
 
-def stage_run_all(cfg, run):
+def stage_run_all(run):
     _plan(run)
     for stage in (stage_split, stage_train_mentor, stage_label, stage_train_student,
                   stage_eval, stage_confusion):
-        stage(cfg, run)
+        stage(run)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ def main(argv=None):
         cfg = load_config(args.config, args.override, args.seed)
         extra = (args.reps, args.warmup) if args.verb == "bench" else ()
         run = _Run(cfg, *pipeline.prepare_data(cfg))
-        globals()["stage_" + args.verb.replace("-", "_")](cfg, run, *extra)
+        globals()["stage_" + args.verb.replace("-", "_")](run, *extra)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 1

@@ -36,22 +36,21 @@ def _to_bool(key, value):
     raise ConfigError(key, f"expected a boolean, got {value!r}")
 
 
-def _to_int(key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(key, f"expected an integer, got {value!r}") from None
+def _number(cast, noun):
+    """Converter by cast; a value cast refuses is a ConfigError expecting noun."""
 
+    def to_number(key, value):
+        try:
+            return cast(value)
+        except ValueError:
+            raise ConfigError(key, f"expected {noun}, got {value!r}") from None
 
-def _to_float(key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {value!r}") from None
+    return to_number
 
 
 # converter for a field of this type, when the field names none of its own
-_BY_TYPE = {str: _text, bool: _to_bool, int: _to_int, float: _to_float}
+_BY_TYPE = {str: _text, bool: _to_bool, int: _number(int, "an integer"),
+            float: _number(float, "a number")}
 
 
 def _items(key, value):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import os
 import weakref
 
@@ -1013,11 +1014,22 @@ def test_main_runs_the_stage_held_on_the_module_when_the_verb_runs(
     path, out = write_cfg(tmp_path)
     calls = []
     monkeypatch.setattr(cli, "stage_" + verb.replace("-", "_"),
-                        lambda cfg, data, *extra: calls.append((cfg.output_dir, extra)))
+                        lambda run, *extra: calls.append((run.cfg.output_dir, extra)))
     flags = ["--reps", "2", "--warmup", "1"] if verb == "bench" else []
     assert run_cli(verb, "--config", path, *flags) == 0
     assert calls == [(out, (2, 1) if verb == "bench" else ())]
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("verb", STAGES)
+def test_every_stage_takes_its_run_alone(verb):
+    # a stage reads its config from run.cfg, so no caller can hand it another
+    # run's cfg beside its run; bench alone also takes --reps and --warmup
+    params = inspect.signature(getattr(cli, "stage_" + verb.replace("-", "_"))).parameters
+    if verb == "bench":
+        assert list(params) == ["run", "reps", "warmup"]
+    else:
+        assert [name for name, p in params.items() if p.default is p.empty] == ["run"]
 
 
 def test_cli_prepares_the_data_once_per_process(tmp_path, monkeypatch):
@@ -1064,7 +1076,7 @@ def test_run_all_leaves_the_shared_data_untouched(tmp_path, monkeypatch):
 
     before = digests()
     calls = count_calls(monkeypatch, "build_student_pool", "resolve_split", "load_checkpoint")
-    stage_run_all(cfg, cli._Run(cfg, *data))
+    stage_run_all(cli._Run(cfg, *data))
     assert digests() == before
     pools = calls["build_student_pool"]
     assert len(pools) == 1  # the plan's, which label and every student share
@@ -1124,10 +1136,10 @@ def test_sweep_holds_one_runs_pool_at_a_time(tmp_path, monkeypatch):
         pools.append(weakref.ref(pool))
         return pool
 
-    def counting_train_mentor(cfg, run):
+    def counting_train_mentor(run):
         gc.collect()
         alive.append(sum(ref() is not None for ref in pools))
-        return train_mentor(cfg, run)
+        return train_mentor(run)
 
     monkeypatch.setattr(pipeline, "build_student_pool", recording_build)
     monkeypatch.setattr(cli, "stage_train_mentor", counting_train_mentor)
@@ -1143,9 +1155,9 @@ def test_run_all_builds_no_pool_before_label(tmp_path, monkeypatch):
     built = {}
     for name in ("stage_train_mentor", "stage_label"):
 
-        def counting(cfg, run, stage=getattr(cli, name), name=name):
+        def counting(run, stage=getattr(cli, name), name=name):
             built[name] = len(calls["build_student_pool"])
-            return stage(cfg, run)
+            return stage(run)
 
         monkeypatch.setattr(cli, name, counting)
     assert run_cli("run-all", "--config", path) == 0
