@@ -208,9 +208,11 @@ def stage_train_student(run):
     if soft.rows.shape[0] != run.pool.n:
         raise MissingArtifactError(f"{path} holds {soft.rows.shape[0]} rows for a"
                                    f" {run.pool.n}-image pool; rerun `label`")
-    if soft.source_checksum != pipeline.image_payload_checksum(run.pool.images):
+    checksum = pipeline.image_payload_checksum(run.pool.images)  # once, for every arch
+    if soft.source_checksum != checksum:
         raise MissingArtifactError(f"{path} was made for another pool's images; rerun `label`")
-    return _train_archs(run, "student", pipeline.train_student, run.pool.images, soft)
+    trainer = functools.partial(pipeline.train_student, checksum=checksum)
+    return _train_archs(run, "student", trainer, run.pool.images, soft)
 
 
 def stage_baseline(run):

@@ -19,7 +19,7 @@ rows: it returns the fused softmax + cross-entropy gradient. A stack clears
 leading conv or fc computes only its parameter gradients.
 
 ``LayerStack.train_step`` may run a batch as two halves, on the two threads
-that ``predict``'s batches use, each half on shallow copies of the layers with
+that ``predict``'s blocks use, each half on shallow copies of the layers with
 their own cache and grads and the shared parameters. A layer's bytes depend
 only on its inputs' values and shapes, not on the thread or on how many
 threads BLAS has (OpenBLAS splits a GEMM over its output, not its sums), so a

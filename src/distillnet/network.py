@@ -57,7 +57,7 @@ import numpy as np
 from .errors import ParseError, ShapeError, ValidationError
 from .layers import BatchNorm, Conv2d, Dropout, FullyConnected, MaxPool2d, ReLU, Softmax
 
-EVAL_BATCH = 128  # rows per eval-mode forward in LayerStack.predict
+EVAL_BATCH = 32  # rows in every eval-mode forward of LayerStack.predict
 _THREAD_MIN = 256  # values per image below which predict keeps to one thread
 _QUOTE = 40  # characters of the arch string a ParseError quotes around its place
 _MAX_TOKENS = 1000
@@ -272,16 +272,19 @@ def _blas_threads():
 def _keep_freed_memory():
     """Fix glibc's malloc settings, once: blocks of up to 32 MB come from the
     heap, up to 128 MB of free heap top stays mapped, and every thread that
-    allocates from here on shares the one heap. glibc starts both thresholds
-    at 128 KB and raises them to the largest block the process has freed from
-    its own mmap, and twice that. A split train step's blocks are half a
-    whole step's, so each half freed more than the raised trim threshold and
-    the next half faulted it all in again: about 8,000 minor faults and 20-30
-    ms of system time per mnist mentor step, where a whole step made 12-621.
-    On one heap a half reuses the blocks the other freed, where the worker's
-    own heap held its peak beside the caller's (+3.4 MB on the mnist
-    train-student verb); the heap's free top then reaches past 64 MB, the
-    most glibc's own rule keeps. No-op without glibc's ``mallopt``.
+    allocates from here on shares the one heap. ``_run_batches`` calls it, so
+    it holds for every predict block and train half. glibc starts both
+    thresholds at 128 KB and raises them to the largest block the process has
+    freed from its own mmap, and twice that; a block over the one is mapped
+    anew each time, and free heap over the other goes back to the kernel, so
+    the next block or call faulted the same memory in again: 3,967 minor
+    faults per warmed 50-image predict of ``c^2-mp-fc^2-s`` on 3x32x32, where
+    the fixed settings make 3-8, and about 8,000 faults and 20-30 ms of system
+    time per split mnist mentor step (2-core VM, numpy 2.4.6, OpenBLAS). On
+    one heap a worker reuses the blocks the caller freed, where its own heap
+    held its peak beside the caller's (+3.4 MB on the mnist train-student
+    verb); the heap's free top then reaches past 64 MB, the most glibc's own
+    rule keeps. No-op without glibc's ``mallopt``.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
     if mallopt is not None:
@@ -291,9 +294,10 @@ def _keep_freed_memory():
 
 
 def _run_batches(fn, batches, image_values):
-    """``[fn(b) for b in batches]``, on the engine's one thread budget.
+    """``[fn(b) for b in batches]``, on the engine's one thread budget and
+    glibc's fixed malloc settings (``_keep_freed_memory``).
 
-    ``predict`` runs its eval batches here and ``train_step`` its two halves.
+    ``predict`` runs its eval blocks here and ``train_step`` its two halves.
     Batch ``i`` runs on thread ``i % 2``, the caller or one worker, while
     BLAS is held at one thread, so worker threads times BLAS threads never
     exceed the cores. With one batch, one core, no OpenBLAS to hold, or
@@ -305,6 +309,7 @@ def _run_batches(fn, batches, image_values):
     over its output, not its sums, so the bytes do not depend on the path.
     An error in the worker is raised here after it ends.
     """
+    _keep_freed_memory()
     blas = _blas_threads() if len(batches) > 1 and image_values >= _THREAD_MIN else None
     if blas is None:
         return [fn(b) for b in batches]
@@ -374,40 +379,50 @@ class LayerStack:
         images and ``backward`` the targets to it, the engine's only casts."""
         return np.result_type(*self.parameters(), 1.0)  # float64 if none
 
+    def _check_batch(self, shape):
+        """A ShapeError unless ``shape`` is that of one or more input images."""
+        if len(shape) != 4 or shape[1:] != self.input_shape:
+            raise ShapeError(
+                f"expected batch of shape (N, {', '.join(map(str, self.input_shape))}), "
+                f"got {shape}"
+            )
+        if shape[0] < 1:
+            raise ShapeError("empty batch")
+
     def forward(self, x):
         """Run the stack; returns (N, num_classes) class probabilities."""
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim != 4 or x.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"expected batch of shape (N, {', '.join(map(str, self.input_shape))}), "
-                f"got {x.shape}"
-            )
-        if x.shape[0] < 1:
-            raise ShapeError("empty batch")
+        self._check_batch(x.shape)
         train = self.mode == "train"
         for layer in self.layers:
             x = layer.forward(x, train, self.rng)
         return x
 
     def predict(self, images):
-        """Eval-mode (N, num_classes) probabilities, ``EVAL_BATCH`` rows at a time.
+        """Eval-mode (N, num_classes) probabilities, in blocks of ``EVAL_BATCH`` rows.
 
-        ``_run_batches`` runs the batches, on two threads where it can.
-        Layers keep no eval-mode state, so two batches can run side by side
-        and a pending train step's caches stay for its ``backward``. The
-        batches depend on ``EVAL_BATCH`` alone and keep their shapes, so the
-        bytes do not depend on the thread, BLAS thread or core count; a row's
-        last bits can still depend on the batch it lands in, since BLAS picks
-        its kernel by shape. The stack's previous mode is restored, also on
-        error.
+        Every block runs exactly ``EVAL_BATCH`` rows: the last is zero-padded
+        in the stack's dtype, and the output is sliced back to N rows. Each
+        layer reads a row apart from the others in its block (BLAS sums each
+        output over its own row and column only), and every block has the one
+        shape, so a row's bytes depend on its image alone: not on N, on its
+        place in the images, or on the thread, BLAS thread or core count.
+        ``_run_batches`` runs the blocks, on two threads where it can. Layers
+        keep no eval-mode state, so two blocks can run side by side and a
+        pending train step's caches stay for its ``backward``. The stack's
+        previous mode is restored, also on error.
         """
-        if len(images) == 0:
-            raise ShapeError("empty batch")
-        batches = [images[s : s + EVAL_BATCH] for s in range(0, len(images), EVAL_BATCH)]
+        self._check_batch(np.shape(images))
+        n = len(images)
+        blocks = [images[s : s + EVAL_BATCH] for s in range(0, n, EVAL_BATCH)]
+        last = np.zeros((EVAL_BATCH, *self.input_shape), self.dtype)
+        last[: len(blocks[-1])] = blocks[-1]
+        blocks[-1] = last
         prev = self.mode
         self.set_mode("eval")
         try:
-            return np.concatenate(_run_batches(self.forward, batches, math.prod(self.input_shape)))
+            out = _run_batches(self.forward, blocks, math.prod(self.input_shape))
+            return np.concatenate(out)[:n]
         finally:
             self.set_mode(prev)
 
@@ -435,7 +450,6 @@ class LayerStack:
             self.backward(targets)
             return probs
 
-        _keep_freed_memory()
         for layer in self.layers:  # the last step's, freed before the halves make theirs
             layer.grads = {}
 

@@ -274,17 +274,21 @@ def resolve_split(cfg, train_set):
     return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
-def train_student(train_cfg, images, soft, arch, test_set, progress=None):
+def train_student(train_cfg, images, soft, arch, test_set, progress=None, *, checksum=None):
     """Train a student purely on mentor soft labels.
 
     Takes images and a SoftLabelSet - no label argument exists. The soft
-    rows must carry the checksum of exactly these images.
+    rows must carry the checksum of exactly these images: ``checksum``, the
+    images' ``image_payload_checksum`` when the caller already holds it, or
+    else hashed here.
     """
     if soft.rows.ndim != 2 or soft.rows.shape[0] != images.shape[0]:
         raise ShapeError(
             f"{soft.rows.shape[0]} soft rows for {images.shape[0]} images"
         )
-    if soft.source_checksum != image_payload_checksum(images):
+    if checksum is None:
+        checksum = image_payload_checksum(images)
+    if soft.source_checksum != checksum:
         raise ValidationError(
             "soft-label checksum does not match the student images; "
             "regenerate labels for this pool"

@@ -1221,6 +1221,22 @@ def test_a_verb_gathers_only_the_train_rows_it_trains_on_or_labels(tmp_path, mon
                       "baseline": 1000, "run-all": 1250, "sweep": 5000}
 
 
+def test_train_student_hashes_the_pool_once(tmp_path, monkeypatch):
+    # the verb checks the soft labels against the pool's checksum and hands
+    # that checksum to every student arch: one hash of the 1,000-row pool for
+    # the two students of configs/synthetic.cfg, not one more per arch
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.cfg")
+    flags = [a for o in (f"output_dir={tmp_path / 'run'}", "mentor_train.epochs=1",
+                         "student_train.epochs=1") for a in ("--override", o)]
+    for verb in ("split", "train-mentor", "label"):
+        assert run_cli(verb, "--config", config, *flags) == 0, verb
+    checksum, hashed = pipeline.image_payload_checksum, []
+    monkeypatch.setattr(pipeline, "image_payload_checksum",
+                        lambda images: hashed.append(len(images)) or checksum(images))
+    assert run_cli("train-student", "--config", config, *flags) == 0
+    assert hashed == [1000]
+
+
 @pytest.mark.parametrize("verbs,count", [(("run-all",), 1), (("sweep",), 4)])
 def test_cli_splits_once_per_run(tmp_path, monkeypatch, verbs, count):
     # run-all computes its split once, for its check and its manifest; each

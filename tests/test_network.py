@@ -1,3 +1,4 @@
+import resource
 import threading
 import tracemalloc
 from unittest import mock
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from distillnet.errors import DistillError, ParseError, ShapeError, StateError, ValidationError
-from distillnet import layers, network
+from distillnet import layers, network, pipeline
 from distillnet.network import Token, arch_size, parse_arch, parse_tokens, render_tokens
 
 
@@ -681,7 +682,7 @@ def test_predict_runs_eval_mode_and_restores_mode(mode, monkeypatch):
     stack.set_mode(mode)
     assert stack.predict(x).tobytes() == ref.tobytes()  # no dropout
     assert stack.mode == mode
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"got \(2, 1, 5, 5\)"):  # the caller's, not a block's
         stack.predict(np.zeros((2, 1, 5, 5)))
     assert stack.mode == mode
 
@@ -783,6 +784,49 @@ def test_predict_starts_no_thread_for_one_batch_or_small_images(n, shape, starte
     stack = parse_arch("fc(8)-fc-s", shape, 3, seed=0)
     assert stack.predict(np.zeros((n, *shape))).shape == (n, 3)
     assert started() == 0
+
+
+# a conv stack on images of _THREAD_MIN values, whose blocks run on two threads
+# where they can, and a 1x8x8 one, whose blocks run on the caller
+_SLICE_STACKS = [parse_arch(arch, shape, 5, seed=2) for arch, shape in (
+    ("c(3,4)-mp-fc(16)-fc-s", (1, 16, 16)), ("c(3,6)-mp-fc(32)-fc-s", (1, 8, 8)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from([0, 1]), n=st.integers(1, 3 * network.EVAL_BATCH + 5),
+       data=st.data())
+def test_a_rows_probabilities_depend_on_its_image_alone(which, n, data):
+    # every block runs EVAL_BATCH rows, the last zero-padded, so a row's bytes
+    # are the same whatever slice of the images it is predicted in
+    stack = _SLICE_STACKS[which]
+    x = np.random.default_rng(n).normal(size=(n, *stack.input_shape))
+    a = data.draw(st.integers(0, n - 1), label="a")
+    b = data.draw(st.integers(a + 1, n), label="b")
+    assert stack.predict(x[a:b]).tobytes() == stack.predict(x)[a:b].tobytes()
+
+
+def test_a_shuffled_pool_gets_the_same_soft_labels_reordered():
+    # a pool's rows shuffled, and 4 of them dropped: a one-row tail of images
+    stack = _SLICE_STACKS[0]
+    x = np.random.default_rng(8).normal(size=(3 * network.EVAL_BATCH + 5, 1, 16, 16))
+    order = np.random.default_rng(9).permutation(len(x))[4:]
+    rows = pipeline.generate_soft_labels(stack, x).rows
+    assert pipeline.generate_soft_labels(stack, x[order]).rows.tobytes() == rows[order].tobytes()
+
+
+def test_a_warmed_predict_reuses_its_memory():
+    # C7's student_c on its 50 images: the blocks' buffers stay on the heap
+    # between calls, so a warmed predict faults in almost no fresh pages
+    stack = parse_arch("c^2-mp-fc^2-s", (3, 32, 32), 10, seed=0)
+    x = np.random.default_rng(0).normal(size=(50, 3, 32, 32))
+    for _ in range(3):
+        stack.predict(x)
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        stack.predict(x)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert np.median(faults) < 100, faults
 
 
 _SPLIT_ARCH = "c(3,8)-mp-c(3,8)-mp-fc(16)-fc-s"  # a conv, no bn or d: splits on 1x16x16

@@ -6,6 +6,7 @@ renames or stops looking up one of them fails here, not in a benchmark run.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -89,11 +90,12 @@ def test_span_tracer_sees_both_halves_of_a_split_train_step_and_a_threaded_predi
     # one epoch of the 250 mentor rows (a fifth of 125 per class) in batches of 32
     assert train["training.sgd"] == 8
     assert train["network.fwd_train"] == train["network.bwd"] == 2 * 8
-    # the 1,000-image pool, EVAL_BATCH rows per eval-mode forward
+    # the 1,000-image pool, EVAL_BATCH rows per eval-mode forward, the last
+    # block zero-padded to EVAL_BATCH rows
     label = [span for span in _traced_spans(tmp_path, "label", *shape)
              if span[2] == "network.fwd_eval"]
     assert len(label) == -(-1000 // EVAL_BATCH)
-    assert sum(span[5] for span in label) == 1000
+    assert sum(span[5] for span in label) == EVAL_BATCH * math.ceil(1000 / EVAL_BATCH)
 
 
 def test_soft_label_row_count_sits_where_the_benchmark_reads_it(tmp_path):
